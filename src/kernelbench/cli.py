@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -42,8 +43,8 @@ def _default_vsync() -> float:
         value = float(raw)
     except ValueError:
         raise RangeError(f"KERNELBENCH_VSYNC must be a number, got {raw!r}") from None
-    if value <= 0.0:
-        raise RangeError(f"KERNELBENCH_VSYNC must be positive, got {raw!r}")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise RangeError(f"KERNELBENCH_VSYNC must be positive and finite, got {raw!r}")
     return value
 
 

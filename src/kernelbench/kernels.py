@@ -39,6 +39,8 @@ class Kernel:
             raise ValueError(f"kernel must be square, got shape {arr.shape}")
         if arr.shape[0] % 2 == 0:
             raise ValueError(f"kernel side must be odd, got {arr.shape[0]}")
+        if not np.isfinite(arr).all():
+            raise ValueError("kernel coefficients must be finite")
         arr.setflags(write=False)
         self._coefficients = arr
 
@@ -135,12 +137,29 @@ def _split_taps(coefficients: np.ndarray):
 
 
 def _accumulate(padded, taps, y0, y1, w, dest, scratch):
-    """dest = sum of weight * shifted-view over taps, for one row strip."""
-    dy, dx, weight = taps[0]
-    np.multiply(padded[y0 + dy : y1 + dy, dx : dx + w], weight, out=dest)
-    for dy, dx, weight in taps[1:]:
-        np.multiply(padded[y0 + dy : y1 + dy, dx : dx + w], weight, out=scratch)
-        dest += scratch
+    """dest = sum of weight * shifted-view over taps, for one row strip.
+
+    A tap whose stored weight is exactly 1.0 is added straight from its view
+    instead of going through a multiply and the scratch array. This is
+    bit-identical to multiplying: x * 1.0 == x for every double, including
+    -0.0, the infinities and NaN, and the taps are summed in the same order.
+    """
+    views = [(padded[y0 + dy : y1 + dy, dx : dx + w], weight) for dy, dx, weight in taps]
+    first, weight = views[0]
+    rest = views[1:]
+    if weight != 1.0:
+        np.multiply(first, weight, out=dest)
+    elif rest and rest[0][1] == 1.0:
+        np.add(first, rest[0][0], out=dest)
+        rest = rest[1:]
+    else:
+        np.copyto(dest, first)
+    for view, weight in rest:
+        if weight == 1.0:
+            dest += view
+        else:
+            np.multiply(view, weight, out=scratch)
+            dest += scratch
 
 
 def _stencil_strip(padded, pos, neg, y0, y1, w, out, scratch, acc):

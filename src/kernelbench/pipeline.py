@@ -85,7 +85,7 @@ class SyntheticSource:
 class RawStreamSource:
     """Headerless file of concatenated RGB24 frames, row-major from top-left.
 
-    Dimensions come from the caller; the file length must be an exact
+    Dimensions come from the caller; the file length must be a positive
     multiple of width*height*3.
     """
 
@@ -97,6 +97,8 @@ class RawStreamSource:
         if self.width < 1 or self.height < 1:
             raise SizeError(f"dimensions must be at least 1x1, got {self.width}x{self.height}")
         size = os.path.getsize(self.path)
+        if size == 0:
+            raise SizeError(f"{self.path} is empty; it holds no frame")
         if size % self.frame_size != 0:
             raise SizeError(
                 f"{self.path} holds {size} bytes, not a multiple of the "
@@ -367,14 +369,14 @@ def run(
         source: frame provider.
         work: a ChainSpec or a DetectorKind.
         frames: measured frame count, >= 1.
-        vsync_hz: display refresh ceiling for fps_capped, > 0.
+        vsync_hz: display refresh ceiling for fps_capped, finite and > 0.
         engine: execution path, see Engine.
         warmup: frames discarded before measurement, >= 0.
     """
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
-    if vsync_hz <= 0.0:
-        raise ValueError(f"vsync_hz must be positive, got {vsync_hz}")
+    if not (vsync_hz > 0.0 and math.isfinite(vsync_hz)):
+        raise ValueError(f"vsync_hz must be positive and finite, got {vsync_hz}")
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
     measured = []

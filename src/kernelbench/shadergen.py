@@ -132,10 +132,6 @@ def generate_fragment_shader(chain_pass: ChainPass) -> str:
     blocks. With normalize set it divides by kernelWeight, the uniform sum
     guarded to 1.0 when it is not positive.
     """
-    if chain_pass.kernel.side != 3:
-        raise UnsupportedKernel(
-            f"kernel side must be 3 for the GLSL target, got {chain_pass.kernel.side}"
-        )
     head = [
         "precision mediump float;",
         "",
@@ -171,8 +167,6 @@ def generate_fragment_shader(chain_pass: ChainPass) -> str:
 
 def generate_program(chain: ChainSpec) -> GeneratedProgram:
     """Compile a chain: shared vertex source, one fragment per pass."""
-    if not chain.passes:
-        raise EmptyChain("a chain needs at least one pass")
     fragments = tuple(generate_fragment_shader(p) for p in chain.passes)
     uniforms = tuple(_PASS_UNIFORMS for _ in chain.passes)
     return GeneratedProgram(_VERTEX_SOURCE, fragments, uniforms)

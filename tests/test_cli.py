@@ -140,6 +140,46 @@ def test_bench_rejects_bad_vsync_env(monkeypatch, capsys):
     assert "KERNELBENCH_VSYNC" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_rejects_non_finite_vsync_env(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("KERNELBENCH_VSYNC", value)
+    raw = tmp_path / "clip.rgb"
+    raw.write_bytes(bytes(8 * 6 * 3))
+    code = main([
+        "pipeline", "--raw", str(raw), "--width", "8", "--height", "6",
+        "--op", "sobel", "--frames", "1",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "KERNELBENCH_VSYNC" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_bench_rejects_non_finite_vsync_flag_before_any_frame(monkeypatch, capsys, value):
+    import kernelbench.pipeline
+
+    def no_frames(*args):
+        raise AssertionError("a frame ran before the vsync check")
+
+    monkeypatch.setattr(kernelbench.pipeline, "_process_frame", no_frames)
+    assert main(["bench", "operators", "--frames", "1", "--vsync", value]) == 1
+    assert "vsync_hz" in capsys.readouterr().err
+
+
+def test_pipeline_rejects_empty_raw_file(tmp_path, capsys):
+    raw = tmp_path / "empty.rgb"
+    raw.write_bytes(b"")
+    code = main([
+        "pipeline", "--raw", str(raw), "--width", "8", "--height", "6",
+        "--op", "sobel", "--frames", "1",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "empty" in captured.err
+    assert captured.out == ""
+
+
 def test_pipeline_reports_runreport_json(tmp_path, capsys):
     rng = np.random.default_rng(64)
     raw = tmp_path / "clip.rgb"
@@ -172,6 +212,9 @@ def test_usage_errors_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["sobel", "--bogus"]) == 2
     assert main(["convolve", "--in", "a", "--out", "b", "--kernel", "3 1 2"]) == 2
+    nan_kernel = "3 0 0 0 0 1 0 0 0 nan"
+    assert main(["convolve", "--in", "a", "--out", "b", "--kernel", nan_kernel]) == 2
+    assert main(["gen-shader", "--kernel", "3 0 0 0 0 inf 0 0 0 0", "--out", "s"]) == 2
     assert main([]) == 2
     capsys.readouterr()
 

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from kernelbench import kernels
 from kernelbench import (
     FREI_CHEN,
     SOBEL_GX,
@@ -11,6 +14,7 @@ from kernelbench import (
     compose,
     correlate,
     parse_kernel,
+    sobel_magnitude_rgb,
 )
 
 MATRIX_5X5 = np.array(
@@ -97,6 +101,75 @@ def test_engine_matches_oracle_on_random_inputs():
             want = correlate_oracle(arr, k, border is BorderPolicy.ZERO_PAD)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+
+def test_engine_matches_direct_summation_over_repeated_magnitudes():
+    # Random signs over a few repeated magnitudes, so taps of equal |w| tie in
+    # the engine's sort and the unit-weight path runs beside multiplied taps.
+    rng = np.random.default_rng(23)
+    magnitudes = np.array([0.0, 0.5, 1.0, 1.0, 2.0, 2.0, 3.0])
+    for side in (1, 3, 5, 7):
+        for channels in (1, 3):
+            for _ in range(3):
+                h = int(rng.integers(1, 10))
+                w = int(rng.integers(1, 10))
+                arr = rng.standard_normal((h, w, channels))
+                signs = rng.choice([-1.0, 1.0], size=(side, side))
+                k = rng.choice(magnitudes, size=(side, side)) * signs
+                for border in BorderPolicy:
+                    got = correlate(ImageBuffer(arr), Kernel(k), border).samples
+                    want = correlate_oracle(arr, k, border is BorderPolicy.ZERO_PAD)
+                    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def _accumulate_multiply_every_tap(padded, taps, y0, y1, w, dest, scratch):
+    """The accumulator as it was before unit taps skipped the multiply."""
+    dy, dx, weight = taps[0]
+    np.multiply(padded[y0 + dy : y1 + dy, dx : dx + w], weight, out=dest)
+    for dy, dx, weight in taps[1:]:
+        np.multiply(padded[y0 + dy : y1 + dy, dx : dx + w], weight, out=scratch)
+        dest += scratch
+
+
+def _assert_matches_multiply_every_tap(monkeypatch, compute):
+    """compute() is bit-identical under the current and the reference accumulator."""
+    got = compute().samples
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_accumulate", _accumulate_multiply_every_tap)
+        want = compute().samples
+    assert np.array_equal(got, want, equal_nan=True)
+    numbers = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+
+def test_unit_taps_are_bit_identical_to_multiplying(monkeypatch):
+    rng = np.random.default_rng(24)
+    all_unit = [np.ones((3, 3)), -np.ones((3, 3)), np.array([[1.0]]), np.array([[-1.0]])]
+    mixed = [
+        SOBEL_GX.coefficients,
+        SOBEL_GY.coefficients,
+        np.array([[1.0, 0.0, 0.5], [-1.0, 1.0, 0.0], [0.25, -1.0, 1.0]]),
+        rng.choice([-2.0, -1.0, 0.0, 1.0, 3.0], size=(5, 5)),
+    ]
+    no_unit = [FREI_CHEN[0].coefficients, 2.0 * np.ones((3, 3)), np.array([[0.5]])]
+    specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan])
+    for shape in [(1, 1, 1), (1, 1, 3), (1, 9, 1), (9, 1, 3), (6, 7, 3)]:
+        arr = rng.standard_normal(shape)
+        flat = arr.reshape(-1)
+        picks = rng.random(flat.size) < 0.3
+        flat[picks] = rng.choice(specials, size=int(picks.sum()))
+        image = ImageBuffer(arr)
+        # inf - inf is NaN by design; both accumulators must produce it.
+        with np.errstate(invalid="ignore"):
+            for k, border, normalize in itertools.product(
+                all_unit + mixed + no_unit, BorderPolicy, (False, True)
+            ):
+                _assert_matches_multiply_every_tap(
+                    monkeypatch, lambda: correlate(image, Kernel(k), border, normalize)
+                )
+            if shape[2] == 3:
+                _assert_matches_multiply_every_tap(
+                    monkeypatch, lambda: sobel_magnitude_rgb(image)
+                )
 
 def test_correlation_is_linear():
     rng = np.random.default_rng(23)
@@ -201,7 +274,16 @@ def test_parse_kernel_round_trip():
 
 
 def test_parse_kernel_rejects_bad_specs():
-    for text in ("", "2 1 1 1 1", "3 1 2 3", "3 a b c d e f g h i", "x 1"):
+    for text in (
+        "",
+        "2 1 1 1 1",
+        "3 1 2 3",
+        "3 a b c d e f g h i",
+        "x 1",
+        "3 0 0 0 0 1 0 0 0 nan",
+        "1 inf",
+        "1 -inf",
+    ):
         with pytest.raises(ValueError):
             parse_kernel(text)
 
@@ -213,3 +295,8 @@ def test_kernel_validation():
         Kernel(np.ones((2, 3)))
     with pytest.raises(ValueError):
         Kernel([1.0, 2.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        k = np.zeros((3, 3))
+        k[0, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Kernel(k)

@@ -100,6 +100,13 @@ def test_raw_stream_length_must_be_frame_multiple(tmp_path):
         RawStreamSource(str(path), 6, 4)
 
 
+def test_raw_stream_rejects_empty_file(tmp_path):
+    path = tmp_path / "empty.rgb"
+    path.write_bytes(b"")
+    with pytest.raises(SizeError, match="empty"):
+        RawStreamSource(str(path), 6, 4)
+
+
 def test_now_is_monotonic_and_exact_in_ms():
     readings = [now() for _ in range(10_000)]
     assert all(b >= a for a, b in zip(readings, readings[1:]))
@@ -224,6 +231,11 @@ def test_run_argument_validation():
         run(src, IDENTITY_CHAIN, frames=1, vsync_hz=0.0)
     with pytest.raises(ValueError):
         run(src, IDENTITY_CHAIN, frames=1, warmup=-1)
+    # A bad vsync fails before any frame runs: the work is never reached,
+    # so its TypeError does not surface.
+    for vsync in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="vsync_hz"):
+            run(src, "sobel", frames=1, vsync_hz=vsync)
     with pytest.raises(TypeError):
         run(src, "sobel", frames=1)
 

@@ -10,12 +10,8 @@ from .errors import FormatError, RangeError
 from .image import ImageBuffer
 from .kernels import (
     FREI_CHEN,
-    SOBEL_GX,
-    SOBEL_GY,
     BorderPolicy,
     _correlate_samples,
-    _split_taps,
-    _stencil_strip,
     _strip_rows,
     pad_samples,
 )
@@ -42,32 +38,64 @@ class FreiChenSubset(Enum):
         return range(0, 8)
 
 
+def _combine_gradients(gx, gy, out: np.ndarray, scratch=None) -> None:
+    """out = max over channels of hypot(gx, gy), the Sobel channel combine.
+
+    hypot writes into scratch when one is given (gx itself may be). The max
+    is one np.maximum per extra channel on the channel views, which numpy
+    runs far faster than np.max over a 3-wide inner axis. Both give the same
+    value; only where several channels are NaN may they keep different NaNs.
+    """
+    magnitude = np.hypot(gx, gy, out=scratch)
+    if magnitude.shape[2] == 1:
+        np.copyto(out, magnitude[:, :, 0])
+        return
+    np.maximum(magnitude[:, :, 0], magnitude[:, :, 1], out=out)
+    for channel in range(2, magnitude.shape[2]):
+        np.maximum(out, magnitude[:, :, channel], out=out)
+
+
 def _sobel_samples(arr: np.ndarray, border: BorderPolicy) -> np.ndarray:
     """Per-channel Sobel magnitude reduced with max over channels.
 
-    The two correlations, the magnitude, and the channel reduction run strip
-    by strip so intermediates stay cache-resident at any frame size; the
-    result is bit-identical to doing each step on the full frame.
+    Sobel is separable: with s the [1 2 1] sum across each padded row and t
+    the same sum down each padded column, gx = s[y+1] - s[y-1] and
+    gy = t[:, x+1] - t[:, x-1]. Each sum is formed as (2 * centre + left or
+    top) + right or bottom, the order in which the tap loop accumulates each
+    sign group of SOBEL_GX and SOBEL_GY, so the result is bit-identical to
+    correlating with the two masks. Everything runs strip by strip so the
+    four strip buffers stay cache-resident at any frame size.
     """
     h, w = arr.shape[0], arr.shape[1]
     padded = pad_samples(arr, 1, border)
-    pos_x, neg_x = _split_taps(SOBEL_GX.coefficients)
-    pos_y, neg_y = _split_taps(SOBEL_GY.coefficients)
     out = np.empty((h, w))
-    strip = _strip_rows(arr)
+    strip = _strip_rows(arr, buffers=4)
     n0 = min(strip, h)
+    rows = np.empty((n0 + 2,) + arr.shape[1:])
+    cols = np.empty((n0, w + 2) + arr.shape[2:])
     gx = np.empty((n0,) + arr.shape[1:])
     gy = np.empty_like(gx)
-    scratch = np.empty_like(gx)
-    acc = np.empty_like(gx)
     for y0 in range(0, h, strip):
         y1 = min(y0 + strip, h)
         n = y1 - y0
-        _stencil_strip(padded, pos_x, neg_x, y0, y1, w, gx[:n], scratch[:n], acc[:n])
-        _stencil_strip(padded, pos_y, neg_y, y0, y1, w, gy[:n], scratch[:n], acc[:n])
-        np.hypot(gx[:n], gy[:n], out=gx[:n])
-        np.max(gx[:n], axis=2, out=out[y0:y1])
+        band = padded[y0 : y1 + 2]
+        s = rows[: n + 2]
+        np.multiply(band[:, 1 : w + 1], 2.0, out=s)
+        s += band[:, :w]
+        s += band[:, 2:]
+        np.subtract(s[2:], s[:n], out=gx[:n])
+        t = cols[:n]
+        np.multiply(band[1 : n + 1], 2.0, out=t)
+        t += band[:n]
+        t += band[2:]
+        np.subtract(t[:, 2:], t[:, :w], out=gy[:n])
+        _combine_gradients(gx[:n], gy[:n], out[y0:y1], scratch=gx[:n])
     return out
+
+
+def _sobel(image: ImageBuffer, border: BorderPolicy) -> ImageBuffer:
+    out = _sobel_samples(image.samples, border)
+    return ImageBuffer._from_array(out.reshape(out.shape + (1,)))
 
 
 def sobel_magnitude(
@@ -84,8 +112,7 @@ def sobel_magnitude(
     """
     if image.channels != 1:
         raise FormatError("sobel_magnitude requires a gray image; see sobel_magnitude_rgb")
-    out = _sobel_samples(image.samples, border)
-    return ImageBuffer._from_array(out.reshape(out.shape + (1,)))
+    return _sobel(image, border)
 
 
 def sobel_magnitude_rgb(
@@ -98,8 +125,7 @@ def sobel_magnitude_rgb(
     """
     if image.channels != 3:
         raise FormatError("sobel_magnitude_rgb requires an RGB image")
-    out = _sobel_samples(image.samples, border)
-    return ImageBuffer._from_array(out.reshape(out.shape + (1,)))
+    return _sobel(image, border)
 
 
 def frei_chen(

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FormatError, SizeError, UnsupportedFormat
+from .errors import FormatError, RangeError, SizeError, UnsupportedFormat
 
 
 class PixelFormat(Enum):
@@ -103,10 +103,12 @@ def encode_bytes(image: ImageBuffer, fmt: PixelFormat) -> bytes:
     """Encode a float buffer to packed 8-bit pixels.
 
     Samples are clamped to [0, 1], scaled by 255, and rounded half away from
-    zero. The decode/encode round trip is byte-identical for any valid input.
+    zero; +inf and -inf clamp like any other value. The decode/encode round
+    trip is byte-identical for any valid input.
 
     Raises:
         FormatError: if the image's channel count does not match the format.
+        RangeError: if a sample is NaN, which has no byte value.
     """
     if image.channels != fmt.channels:
         raise FormatError(
@@ -114,8 +116,13 @@ def encode_bytes(image: ImageBuffer, fmt: PixelFormat) -> bytes:
         )
     scaled = np.clip(image.samples, 0.0, 1.0) * 255.0
     # After clamping every value is >= 0, so floor(x + 0.5) rounds half away
-    # from zero as required.
-    return np.floor(scaled + 0.5).astype(np.uint8).tobytes()
+    # from zero as required. NaN survives the clamp; the cast is where numpy
+    # flags it, so trapping that flag costs no extra pass over the image.
+    try:
+        with np.errstate(invalid="raise"):
+            return np.floor(scaled + 0.5).astype(np.uint8).tobytes()
+    except FloatingPointError:
+        raise RangeError("cannot encode a NaN sample") from None
 
 
 def to_luminance(image: ImageBuffer) -> ImageBuffer:

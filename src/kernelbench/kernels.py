@@ -104,14 +104,16 @@ FREI_CHEN = (
 )
 
 
-# Output is produced in strips of roughly this many bytes so the working set
-# stays cache-resident at any resolution; per-pixel cost then scales linearly
-# with pixel count instead of degrading once frames outgrow the cache.
+# Output is produced in strips whose buffers together take roughly this many
+# bytes, so the working set stays cache-resident at any resolution; per-pixel
+# cost then scales linearly with pixel count instead of degrading once frames
+# outgrow the cache.
 _STRIP_BYTES = 1 << 20
 
 
-def _strip_rows(arr: np.ndarray) -> int:
-    return max(1, _STRIP_BYTES // max(arr.strides[0], 1))
+def _strip_rows(arr: np.ndarray, buffers: int = 1) -> int:
+    """Rows per strip when each of `buffers` strip buffers holds arr's rows."""
+    return max(1, _STRIP_BYTES // (buffers * max(arr.strides[0], 1)))
 
 
 def _split_taps(coefficients: np.ndarray):

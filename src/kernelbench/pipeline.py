@@ -18,7 +18,13 @@ from enum import Enum
 
 import numpy as np
 
-from .detectors import FREI_CHEN_EPSILON, FreiChenSubset, frei_chen, sobel_magnitude_rgb
+from .detectors import (
+    FREI_CHEN_EPSILON,
+    FreiChenSubset,
+    _combine_gradients,
+    frei_chen,
+    sobel_magnitude_rgb,
+)
 from .errors import EndOfStream, SizeError
 from .image import ImageBuffer, PixelFormat, decode_bytes, to_luminance
 from .kernels import FREI_CHEN, SOBEL_GX, SOBEL_GY
@@ -188,8 +194,9 @@ _FREI_CHEN_CHAINS = tuple(ChainSpec((ChainPass(mask),)) for mask in FREI_CHEN)
 def _sobel_via_chains(frame: ImageBuffer) -> ImageBuffer:
     gx = execute_chain_reference(frame, _SOBEL_GX_CHAIN).samples
     gy = execute_chain_reference(frame, _SOBEL_GY_CHAIN).samples
-    magnitude = np.hypot(gx, gy).max(axis=2)
-    return ImageBuffer._from_array(magnitude.reshape(magnitude.shape + (1,)))
+    magnitude = np.empty(gx.shape[:2] + (1,))
+    _combine_gradients(gx, gy, magnitude[:, :, 0])
+    return ImageBuffer._from_array(magnitude)
 
 
 def _frei_chen_via_chains(gray: ImageBuffer) -> ImageBuffer:

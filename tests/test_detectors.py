@@ -1,9 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from kernelbench import detectors, kernels
 from kernelbench import (
+    SOBEL_GX,
+    SOBEL_GY,
     BorderPolicy,
     FormatError,
     FreiChenSubset,
@@ -72,6 +76,42 @@ def test_sobel_rgb_single_channel_edge_matches_gray():
     combined = sobel_magnitude_rgb(ImageBuffer(arr)).samples
     red_only = sobel_magnitude(ImageBuffer(arr[:, :, 0:1])).samples
     np.testing.assert_array_equal(combined, red_only)
+
+
+def _sobel_tap_loop(arr, border):
+    """The Sobel magnitude as the tap loop computed it before the separable form."""
+    padded = kernels.pad_samples(arr, 1, border)
+    gx = np.empty_like(arr)
+    gy = np.empty_like(arr)
+    kernels._correlate_samples(padded, SOBEL_GX.coefficients, gx)
+    kernels._correlate_samples(padded, SOBEL_GY.coefficients, gy)
+    return np.hypot(gx, gy).max(axis=2)
+
+
+def test_separable_sobel_is_bit_identical_to_the_tap_loop():
+    rng = np.random.default_rng(34)
+    specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
+    wide = (13, 2048)
+    # The wide image must span several strips of the fused loop.
+    assert kernels._strip_rows(np.empty(wide + (3,)), buffers=4) < wide[0] // 2
+    shapes = [(1, 1), (1, 9), (9, 1), wide]
+    shapes += [tuple(int(n) for n in rng.integers(1, 40, size=2)) for _ in range(12)]
+    cases = itertools.product(shapes, (1, 3), BorderPolicy, (False, True))
+    # inf - inf is NaN and 1e308 sums overflow by design; both paths must agree.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for (h, w), channels, border, with_specials in cases:
+            arr = rng.standard_normal((h, w, channels))
+            if with_specials:
+                flat = arr.reshape(-1)
+                picks = rng.random(flat.size) < 0.2
+                flat[picks] = rng.choice(specials, size=int(picks.sum()))
+            got = detectors._sobel_samples(arr, border)
+            want = _sobel_tap_loop(arr, border)
+            # np.max and pairwise np.maximum may keep different NaNs where
+            # several channels are NaN, so NaN compares without its sign.
+            assert np.array_equal(got, want, equal_nan=True)
+            numbers = ~np.isnan(want)
+            assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
 
 
 def test_sobel_shift_invariance_on_interior():

@@ -5,6 +5,7 @@ from kernelbench import (
     FormatError,
     ImageBuffer,
     PixelFormat,
+    RangeError,
     SizeError,
     UnsupportedFormat,
     decode_bytes,
@@ -39,6 +40,18 @@ def test_encode_rounds_half_away_from_zero():
 def test_encode_clamps():
     buf = ImageBuffer(np.array([[-0.2, 1.7]]))
     assert encode_bytes(buf, PixelFormat.GRAY8) == bytes([0, 255])
+
+
+@pytest.mark.filterwarnings("error")
+def test_encode_rejects_nan_without_a_warning():
+    for samples in ([[np.nan, 0.5]], [[0.5, -np.nan]], [[[0.1, np.nan, 0.9]]]):
+        image = ImageBuffer(np.array(samples))
+        fmt = PixelFormat.GRAY8 if image.channels == 1 else PixelFormat.RGB24
+        with pytest.raises(RangeError, match="NaN"):
+            encode_bytes(image, fmt)
+    assert encode_bytes(ImageBuffer(np.array([[-np.inf, np.inf]])), PixelFormat.GRAY8) == bytes(
+        [0, 255]
+    )
 
 
 def test_encode_channel_mismatch():

@@ -14,7 +14,6 @@ from kernelbench import (
     compose,
     correlate,
     parse_kernel,
-    sobel_magnitude_rgb,
 )
 
 MATRIX_5X5 = np.array(
@@ -165,10 +164,6 @@ def test_unit_taps_are_bit_identical_to_multiplying(monkeypatch):
             ):
                 _assert_matches_multiply_every_tap(
                     monkeypatch, lambda: correlate(image, Kernel(k), border, normalize)
-                )
-            if shape[2] == 3:
-                _assert_matches_multiply_every_tap(
-                    monkeypatch, lambda: sobel_magnitude_rgb(image)
                 )
 
 def test_correlation_is_linear():

@@ -7,7 +7,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import FormatError, RangeError
-from .image import ImageBuffer
+from .image import ImageBuffer, _ieee_arithmetic
 from .kernels import (
     FREI_CHEN,
     BorderPolicy,
@@ -55,6 +55,7 @@ def _combine_gradients(gx, gy, out: np.ndarray, scratch=None) -> None:
         np.maximum(out, magnitude[:, :, channel], out=out)
 
 
+@_ieee_arithmetic
 def _sobel_samples(arr: np.ndarray, border: BorderPolicy) -> np.ndarray:
     """Per-channel Sobel magnitude reduced with max over channels.
 
@@ -128,31 +129,24 @@ def sobel_magnitude_rgb(
     return _sobel(image, border)
 
 
-def frei_chen(
-    image: ImageBuffer,
-    subset: FreiChenSubset,
-    border: BorderPolicy = BorderPolicy.CLAMP_TO_EDGE,
-) -> ImageBuffer:
-    """Frei-Chen edge measure sqrt(M / S) in [0, 1].
+@_ieee_arithmetic
+def _frei_chen_measure(shape, subset: FreiChenSubset, correlate_mask) -> ImageBuffer:
+    """sqrt(M / S) over the nine basis masks, the one Frei-Chen combine.
 
-    M sums the squared responses of the chosen subset, S those of all nine
-    basis masks. Pixels with S below FREI_CHEN_EPSILON report 0. Because the
-    subset terms are accumulated in the same order in M and S, M never
-    exceeds S even in float arithmetic, so the output stays within [0, 1].
-
-    Raises:
-        FormatError: if the image is not single-channel.
+    correlate_mask(mask, out) writes the response to one mask into out, an
+    array of the given shape; each engine supplies its own correlation step.
+    Responses are squared in place and summed in basis order into M (the
+    subset's masks) and S (all nine). Pixels with S below FREI_CHEN_EPSILON
+    report 0. Because the subset terms are added in the same order in M and
+    S, M never exceeds S even in float arithmetic, so the output stays within
+    [0, 1].
     """
-    if image.channels != 1:
-        raise FormatError("frei_chen requires a gray image; convert with to_luminance")
-    arr = image.samples
-    padded = pad_samples(arr, 1, border)
-    numerator = np.zeros(arr.shape)
-    total = np.zeros(arr.shape)
-    response = np.empty_like(arr)
+    numerator = np.zeros(shape)
+    total = np.zeros(shape)
+    response = np.empty(shape)
     chosen = set(subset.mask_indices)
     for index, mask in enumerate(FREI_CHEN):
-        _correlate_samples(padded, mask.coefficients, response)
+        correlate_mask(mask, response)
         np.multiply(response, response, out=response)
         total += response
         if index in chosen:
@@ -161,6 +155,30 @@ def frei_chen(
     np.divide(numerator, total, out=numerator, where=~flat)
     numerator[flat] = 0.0
     return ImageBuffer._from_array(np.sqrt(numerator))
+
+
+def frei_chen(
+    image: ImageBuffer,
+    subset: FreiChenSubset,
+    border: BorderPolicy = BorderPolicy.CLAMP_TO_EDGE,
+) -> ImageBuffer:
+    """Frei-Chen edge measure sqrt(M / S) in [0, 1].
+
+    M sums the squared responses of the chosen subset, S those of all nine
+    basis masks. Pixels with S below FREI_CHEN_EPSILON report 0, and the
+    output stays within [0, 1]. The image is padded once and each mask runs
+    through the fused strip loop.
+
+    Raises:
+        FormatError: if the image is not single-channel.
+    """
+    if image.channels != 1:
+        raise FormatError("frei_chen requires a gray image; convert with to_luminance")
+    arr = image.samples
+    padded = pad_samples(arr, 1, border)
+    return _frei_chen_measure(
+        arr.shape, subset, lambda mask, out: _correlate_samples(padded, mask.coefficients, out)
+    )
 
 
 def threshold(image: ImageBuffer, t: float) -> ImageBuffer:

@@ -15,6 +15,11 @@ import numpy as np
 
 from .errors import FormatError, RangeError, SizeError, UnsupportedFormat
 
+# Non-finite or huge samples give IEEE 754 results (inf - inf is NaN, 2e308
+# is inf) by design; entry points that compute on pixels carry this decorator
+# so numpy does not warn about them. Use it only as a decorator (reentrant).
+_ieee_arithmetic = np.errstate(over="ignore", invalid="ignore")
+
 
 class PixelFormat(Enum):
     """Byte-level pixel layouts understood by the codecs."""
@@ -125,6 +130,7 @@ def encode_bytes(image: ImageBuffer, fmt: PixelFormat) -> bytes:
         raise RangeError("cannot encode a NaN sample") from None
 
 
+@_ieee_arithmetic
 def to_luminance(image: ImageBuffer) -> ImageBuffer:
     """Convert an RGB buffer to single-channel luma (Rec. 601 weights).
 

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .image import ImageBuffer
+from .image import ImageBuffer, _ieee_arithmetic
 
 
 class BorderPolicy(Enum):
@@ -197,6 +197,7 @@ def pad_samples(arr: np.ndarray, radius: int, border: BorderPolicy) -> np.ndarra
     return np.pad(arr, ((radius, radius), (radius, radius), (0, 0)), mode=border.pad_mode)
 
 
+@_ieee_arithmetic
 def correlate(
     image: ImageBuffer,
     kernel: Kernel,

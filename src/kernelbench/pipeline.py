@@ -13,21 +13,21 @@ import math
 import os
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
 from .detectors import (
-    FREI_CHEN_EPSILON,
     FreiChenSubset,
     _combine_gradients,
+    _frei_chen_measure,
     frei_chen,
     sobel_magnitude_rgb,
 )
 from .errors import EndOfStream, SizeError
 from .image import ImageBuffer, PixelFormat, decode_bytes, to_luminance
-from .kernels import FREI_CHEN, SOBEL_GX, SOBEL_GY
+from .kernels import SOBEL_GX, SOBEL_GY
 from .shadergen import ChainPass, ChainSpec, execute_chain_reference
 
 
@@ -165,10 +165,12 @@ def next_frame(source: FrameSource, index: int) -> ImageBuffer:
 class Engine(Enum):
     """Which execution path processes frames.
 
-    CPU runs the direct numpy operators. CHAIN_REFERENCE routes everything
-    through the shader-semantics reference executor; detectors decompose
-    into one single-pass chain per kernel plus a numpy combine step. For
-    plain chain workloads the two engines execute the same correlations.
+    CPU runs the direct numpy operators. CHAIN_REFERENCE is the same
+    detector math, with each per-mask correlation run through the chain
+    executor: every mask becomes a single-pass chain, and the detector's own
+    combine step (shared with CPU) merges the responses. Its outputs equal
+    the CPU engine's. For plain chain workloads the two engines execute the
+    same correlations.
     """
 
     CPU = "cpu"
@@ -188,7 +190,6 @@ PIPELINE_FREI_CHEN_SUBSET = FreiChenSubset.EDGE_AND_LINE
 
 _SOBEL_GX_CHAIN = ChainSpec((ChainPass(SOBEL_GX),))
 _SOBEL_GY_CHAIN = ChainSpec((ChainPass(SOBEL_GY),))
-_FREI_CHEN_CHAINS = tuple(ChainSpec((ChainPass(mask),)) for mask in FREI_CHEN)
 
 
 def _sobel_via_chains(frame: ImageBuffer) -> ImageBuffer:
@@ -200,19 +201,10 @@ def _sobel_via_chains(frame: ImageBuffer) -> ImageBuffer:
 
 
 def _frei_chen_via_chains(gray: ImageBuffer) -> ImageBuffer:
-    chosen = set(PIPELINE_FREI_CHEN_SUBSET.mask_indices)
-    numerator = np.zeros_like(gray.samples)
-    total = np.zeros_like(gray.samples)
-    for index, chain in enumerate(_FREI_CHEN_CHAINS):
-        response = execute_chain_reference(gray, chain).samples
-        squared = response * response
-        total += squared
-        if index in chosen:
-            numerator += squared
-    flat = total < FREI_CHEN_EPSILON
-    np.divide(numerator, total, out=numerator, where=~flat)
-    numerator[flat] = 0.0
-    return ImageBuffer._from_array(np.sqrt(numerator))
+    def correlate_mask(mask, out):
+        np.copyto(out, execute_chain_reference(gray, ChainSpec((ChainPass(mask),))).samples)
+
+    return _frei_chen_measure(gray.samples.shape, PIPELINE_FREI_CHEN_SUBSET, correlate_mask)
 
 
 def _process_frame(frame: ImageBuffer, work, engine: Engine) -> ImageBuffer:
@@ -240,8 +232,9 @@ class FrameStats:
     processing_ms: float
 
     def __post_init__(self) -> None:
-        if self.acquisition_ms < 0.0 or self.processing_ms < 0.0:
-            raise ValueError("frame timings must be non-negative")
+        for ms in (self.acquisition_ms, self.processing_ms):
+            if not (math.isfinite(ms) and ms >= 0.0):
+                raise ValueError(f"frame timings must be finite and non-negative, got {ms}")
 
 
 def _nearest_rank(ordered, pct: float) -> float:
@@ -254,69 +247,43 @@ def _nearest_rank(ordered, pct: float) -> float:
 class RunReport:
     """Aggregated timings for one benchmark run.
 
-    All aggregate fields are pure functions of per_frame and vsync_hz:
-    means are arithmetic, percentiles use nearest-rank, fps_uncapped is
-    1000 / (mean_acquisition_ms + mean_processing_ms), and fps_capped is
-    that value capped at vsync_hz. A run truncated by the source ending
-    early carries partial=True. A run with no measured frames reports all
-    aggregates as 0.0.
+    The constructor takes per_frame, vsync_hz and partial, and derives
+    frame_count and every aggregate from per_frame and vsync_hz, so no report
+    holds an aggregate that disagrees with its frames. Means are arithmetic,
+    percentiles use nearest-rank, fps_uncapped is 1000 / (mean_acquisition_ms
+    + mean_processing_ms), and fps_capped is that value capped at vsync_hz.
+    A run truncated by the source ending early carries partial=True. A run
+    with no measured frames reports all aggregates as 0.0.
     """
 
-    frame_count: int
     per_frame: tuple[FrameStats, ...]
-    mean_acquisition_ms: float
-    mean_processing_ms: float
-    p50_processing_ms: float
-    p95_processing_ms: float
-    fps_uncapped: float
-    fps_capped: float
     vsync_hz: float
     partial: bool = False
+    frame_count: int = field(init=False)
+    mean_acquisition_ms: float = field(init=False)
+    mean_processing_ms: float = field(init=False)
+    p50_processing_ms: float = field(init=False)
+    p95_processing_ms: float = field(init=False)
+    fps_uncapped: float = field(init=False)
+    fps_capped: float = field(init=False)
 
-    @classmethod
-    def from_frames(cls, per_frame, vsync_hz: float, partial: bool = False) -> "RunReport":
-        """Build a report by aggregating per-frame stats."""
-        frames = tuple(per_frame)
+    def __post_init__(self) -> None:
+        frames = tuple(self.per_frame)
         count = len(frames)
-        if count == 0:
-            return cls(0, frames, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, vsync_hz, partial)
-        mean_acq = sum(f.acquisition_ms for f in frames) / count
-        mean_proc = sum(f.processing_ms for f in frames) / count
-        ordered = sorted(f.processing_ms for f in frames)
-        p50 = _nearest_rank(ordered, 50.0)
-        p95 = _nearest_rank(ordered, 95.0)
-        total = mean_acq + mean_proc
-        fps_uncapped = 1000.0 / total if total > 0.0 else 0.0
-        fps_capped = min(vsync_hz, fps_uncapped)
-        return cls(
-            count, frames, mean_acq, mean_proc, p50, p95, fps_uncapped, fps_capped,
-            vsync_hz, partial,
-        )
-
-    def validate(self) -> None:
-        """Recompute every aggregate from per_frame and require agreement.
-
-        Raises:
-            ValueError: if any aggregate drifts from its recomputation by
-                more than 1e-9 relative, or an ordering invariant fails.
-        """
-        if self.frame_count != len(self.per_frame):
-            raise ValueError("frame_count does not match per_frame length")
-        expected = RunReport.from_frames(self.per_frame, self.vsync_hz, self.partial)
-        for name in (
-            "mean_acquisition_ms",
-            "mean_processing_ms",
-            "p50_processing_ms",
-            "p95_processing_ms",
-            "fps_uncapped",
-            "fps_capped",
-        ):
-            got = getattr(self, name)
-            want = getattr(expected, name)
-            if not math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12):
-                raise ValueError(f"{name} is {got}, recomputation gives {want}")
-        if self.fps_capped > self.vsync_hz or self.fps_capped > self.fps_uncapped + 1e-12:
-            raise ValueError("fps_capped exceeds its bounds")
+        aggregates = (0.0,) * 6
+        if count:
+            mean_acq = sum(f.acquisition_ms for f in frames) / count
+            mean_proc = sum(f.processing_ms for f in frames) / count
+            ordered = sorted(f.processing_ms for f in frames)
+            total = mean_acq + mean_proc
+            fps_uncapped = 1000.0 / total if total > 0.0 else 0.0
+            aggregates = (
+                mean_acq, mean_proc, _nearest_rank(ordered, 50.0), _nearest_rank(ordered, 95.0),
+                fps_uncapped, min(self.vsync_hz, fps_uncapped),
+            )
+        object.__setattr__(self, "per_frame", frames)
+        for name, value in zip(_DERIVED, (count,) + aggregates):
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         """Plain-data form for JSON serialization; from_dict inverts it."""
@@ -338,21 +305,25 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
-        frames = tuple(
-            FrameStats(f["acquisition_ms"], f["processing_ms"]) for f in data["per_frame"]
-        )
-        return cls(
-            data["frame_count"],
-            frames,
-            data["mean_acquisition_ms"],
-            data["mean_processing_ms"],
-            data["p50_processing_ms"],
-            data["p95_processing_ms"],
-            data["fps_uncapped"],
-            data["fps_capped"],
-            data["vsync_hz"],
-            data["partial"],
-        )
+        """Rebuild a report from per_frame, checking the stored aggregates.
+
+        Raises:
+            ValueError: if a frame timing is negative or not finite, or if
+                frame_count or a stored aggregate differs from its value
+                derived from per_frame by more than 1e-9 relative (1e-12
+                absolute).
+        """
+        frames = (FrameStats(f["acquisition_ms"], f["processing_ms"]) for f in data["per_frame"])
+        report = cls(frames, data["vsync_hz"], data["partial"])
+        for name in _DERIVED:
+            stored, derived = data[name], getattr(report, name)
+            if not math.isclose(stored, derived, rel_tol=1e-9, abs_tol=1e-12):
+                raise ValueError(f"{name} is {stored}, per_frame gives {derived}")
+        return report
+
+
+# frame_count and the aggregates, in declaration (and serialization) order.
+_DERIVED = tuple(f.name for f in fields(RunReport) if not f.init)
 
 
 def run(
@@ -370,7 +341,7 @@ def run(
     the grayscale conversion the Frei-Chen detector needs. The first
     `warmup` frames run at full cost but stay out of the report. If the
     source ends before all requested frames, the report covers the measured
-    frames and is flagged partial. The returned report is validated.
+    frames and is flagged partial.
 
     Args:
         source: frame provider.
@@ -402,6 +373,4 @@ def run(
             measured.append(
                 FrameStats(elapsed_ms(start, acquired), elapsed_ms(acquired, done))
             )
-    report = RunReport.from_frames(measured, vsync_hz, partial)
-    report.validate()
-    return report
+    return RunReport(measured, vsync_hz, partial)

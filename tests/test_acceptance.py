@@ -17,6 +17,7 @@ from kernelbench import (
     FreiChenSubset,
     ImageBuffer,
     Kernel,
+    RunReport,
     correlate,
     frei_chen,
     generate_fragment_shader,
@@ -173,7 +174,7 @@ def test_criterion_08_reports_validate_and_clock_is_monotonic():
     source = SyntheticSource(32, 24, seed=8)
     for vsync in (60.0, 10_000.0):
         report = run(source, DetectorKind.SOBEL, frames=12, vsync_hz=vsync)
-        report.validate()
+        assert RunReport.from_dict(report.to_dict()) == report
         total = report.mean_acquisition_ms + report.mean_processing_ms
         assert report.fps_capped == min(vsync, 1000.0 / total)
         ranked = sorted(s.processing_ms for s in report.per_frame)

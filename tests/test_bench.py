@@ -37,7 +37,7 @@ def test_operator_sweep_labels_and_shape():
     assert [row.label for row in report.rows] == ["2", "10", "20", "50", "100", "500"]
     for row in report.rows:
         assert row.report.frame_count == 1
-        row.report.validate()
+        assert RunReport.from_dict(row.report.to_dict()) == row.report
 
 
 def test_operator_sweep_time_grows_with_repeats():
@@ -70,7 +70,7 @@ def test_host_note_documents_warmup(tiny_resolution_report):
 
 
 def test_scenario_report_validates_rows():
-    report = RunReport.from_frames([FrameStats(1.0, 2.0)], 60.0)
+    report = RunReport([FrameStats(1.0, 2.0)], 60.0)
     with pytest.raises(ValueError):
         ScenarioReport(Scenario.OPERATOR_SWEEP, (), "host")
     with pytest.raises(ValueError):
@@ -86,6 +86,10 @@ def test_scenario_report_dict_round_trip(tiny_resolution_report):
     assert ScenarioReport.from_dict(report.to_dict()) == report
     rehydrated = ScenarioReport.from_dict(json.loads(json.dumps(report.to_dict())))
     assert rehydrated == report
+    tampered = report.to_dict()
+    tampered["rows"][1]["report"]["mean_processing_ms"] = 99.0
+    with pytest.raises(ValueError, match="mean_processing_ms"):
+        ScenarioReport.from_dict(tampered)
 
 
 def test_serialized_reports_validate_against_schema(tiny_resolution_report):
@@ -98,7 +102,7 @@ def test_chainref_engine_runs_the_sweep():
     report = scenario_operators(engine=Engine.CHAIN_REFERENCE, frames=1, resolution=(32, 24))
     assert len(report.rows) == 6
     for row in report.rows:
-        row.report.validate()
+        assert RunReport.from_dict(row.report.to_dict()) == row.report
 
 
 @pytest.fixture(scope="module")

@@ -12,11 +12,13 @@ from kernelbench import (
     FormatError,
     FreiChenSubset,
     ImageBuffer,
+    Kernel,
     RangeError,
     frei_chen,
     sobel_magnitude,
     sobel_magnitude_rgb,
     threshold,
+    to_luminance,
 )
 
 
@@ -80,11 +82,9 @@ def test_sobel_rgb_single_channel_edge_matches_gray():
 
 def _sobel_tap_loop(arr, border):
     """The Sobel magnitude as the tap loop computed it before the separable form."""
-    padded = kernels.pad_samples(arr, 1, border)
-    gx = np.empty_like(arr)
-    gy = np.empty_like(arr)
-    kernels._correlate_samples(padded, SOBEL_GX.coefficients, gx)
-    kernels._correlate_samples(padded, SOBEL_GY.coefficients, gy)
+    image = ImageBuffer(arr)
+    gx = kernels.correlate(image, SOBEL_GX, border).samples
+    gy = kernels.correlate(image, SOBEL_GY, border).samples
     return np.hypot(gx, gy).max(axis=2)
 
 
@@ -97,21 +97,19 @@ def test_separable_sobel_is_bit_identical_to_the_tap_loop():
     shapes = [(1, 1), (1, 9), (9, 1), wide]
     shapes += [tuple(int(n) for n in rng.integers(1, 40, size=2)) for _ in range(12)]
     cases = itertools.product(shapes, (1, 3), BorderPolicy, (False, True))
-    # inf - inf is NaN and 1e308 sums overflow by design; both paths must agree.
-    with np.errstate(invalid="ignore", over="ignore"):
-        for (h, w), channels, border, with_specials in cases:
-            arr = rng.standard_normal((h, w, channels))
-            if with_specials:
-                flat = arr.reshape(-1)
-                picks = rng.random(flat.size) < 0.2
-                flat[picks] = rng.choice(specials, size=int(picks.sum()))
-            got = detectors._sobel_samples(arr, border)
-            want = _sobel_tap_loop(arr, border)
-            # np.max and pairwise np.maximum may keep different NaNs where
-            # several channels are NaN, so NaN compares without its sign.
-            assert np.array_equal(got, want, equal_nan=True)
-            numbers = ~np.isnan(want)
-            assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+    for (h, w), channels, border, with_specials in cases:
+        arr = rng.standard_normal((h, w, channels))
+        if with_specials:
+            flat = arr.reshape(-1)
+            picks = rng.random(flat.size) < 0.2
+            flat[picks] = rng.choice(specials, size=int(picks.sum()))
+        got = detectors._sobel_samples(arr, border)
+        want = _sobel_tap_loop(arr, border)
+        # np.max and pairwise np.maximum may keep different NaNs where
+        # several channels are NaN, so NaN compares without its sign.
+        assert np.array_equal(got, want, equal_nan=True)
+        numbers = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
 
 
 def test_sobel_shift_invariance_on_interior():
@@ -130,6 +128,34 @@ def test_sobel_scales_with_amplitude():
     base = sobel_magnitude(ImageBuffer(arr)).samples
     scaled = sobel_magnitude(ImageBuffer(2.5 * arr)).samples
     np.testing.assert_allclose(scaled, 2.5 * base, rtol=1e-5, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_and_huge_pixels_follow_ieee_without_warnings():
+    # inf - inf, inf / inf and sums past 1.8e308 have IEEE results (NaN or
+    # inf); every entry point and both engines' detectors give them silently.
+    from kernelbench.pipeline import DetectorKind, Engine, _process_frame
+
+    rng = np.random.default_rng(35)
+    specials = np.array([np.inf, -np.inf, np.nan, 1e308, -1e308])
+    images = []
+    for channels in (1, 3):
+        arr = rng.standard_normal((6, 7, channels))
+        flat = arr.reshape(-1)
+        picks = rng.random(flat.size) < 0.4
+        flat[picks] = rng.choice(specials, size=int(picks.sum()))
+        images.append(ImageBuffer(arr))
+    gray, rgb = images
+    kernel = Kernel([[0.5, -1.0, 2.0], [1.0, -2.0, 1.0], [3.0, 1.0, -1.0]])
+    for image, border, normalize in itertools.product(images, BorderPolicy, (False, True)):
+        kernels.correlate(image, kernel, border, normalize)
+    sobel_magnitude(gray)
+    sobel_magnitude_rgb(rgb)
+    for subset in FreiChenSubset:
+        assert np.isnan(frei_chen(gray, subset).samples).any()
+    assert np.isnan(to_luminance(rgb).samples).any()
+    for kind, engine in itertools.product(DetectorKind, Engine):
+        _process_frame(rgb, kind, engine)
 
 
 def test_frei_chen_constant_edge_subset_is_zero():

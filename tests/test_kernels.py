@@ -157,14 +157,12 @@ def test_unit_taps_are_bit_identical_to_multiplying(monkeypatch):
         picks = rng.random(flat.size) < 0.3
         flat[picks] = rng.choice(specials, size=int(picks.sum()))
         image = ImageBuffer(arr)
-        # inf - inf is NaN by design; both accumulators must produce it.
-        with np.errstate(invalid="ignore"):
-            for k, border, normalize in itertools.product(
-                all_unit + mixed + no_unit, BorderPolicy, (False, True)
-            ):
-                _assert_matches_multiply_every_tap(
-                    monkeypatch, lambda: correlate(image, Kernel(k), border, normalize)
-                )
+        for k, border, normalize in itertools.product(
+            all_unit + mixed + no_unit, BorderPolicy, (False, True)
+        ):
+            _assert_matches_multiply_every_tap(
+                monkeypatch, lambda: correlate(image, Kernel(k), border, normalize)
+            )
 
 def test_correlation_is_linear():
     rng = np.random.default_rng(23)

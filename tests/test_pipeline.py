@@ -1,4 +1,4 @@
-import dataclasses
+import json
 import math
 
 import numpy as np
@@ -126,10 +126,21 @@ def test_frame_stats_rejects_negative_times():
         FrameStats(1.0, -0.1)
 
 
+def test_frame_stats_rejects_non_finite_times():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            FrameStats(bad, 1.0)
+        with pytest.raises(ValueError):
+            FrameStats(1.0, bad)
+    # JSON NaN must not reach a report through from_dict either.
+    payload = _report([(1.0, 2.0)]).to_dict()
+    payload["per_frame"][0]["processing_ms"] = json.loads("NaN")
+    with pytest.raises(ValueError):
+        RunReport.from_dict(payload)
+
+
 def _report(pairs, vsync=60.0, partial=False):
-    return RunReport.from_frames(
-        [FrameStats(a, p) for a, p in pairs], vsync, partial
-    )
+    return RunReport([FrameStats(a, p) for a, p in pairs], vsync, partial)
 
 
 def test_report_aggregates_hand_computed():
@@ -140,7 +151,7 @@ def test_report_aggregates_hand_computed():
     # mean total 10 ms: uncapped 100 FPS, capped at the 60 Hz ceiling
     assert report.fps_uncapped == 100.0
     assert report.fps_capped == 60.0
-    report.validate()
+    assert RunReport.from_dict(report.to_dict()) == report
 
 
 def test_report_slow_frame_fps():
@@ -166,26 +177,37 @@ def test_empty_report_is_all_zero_and_valid():
     assert report.frame_count == 0
     assert report.fps_uncapped == 0.0
     assert report.fps_capped == 0.0
-    report.validate()
+    assert RunReport.from_dict(report.to_dict()) == report
 
 
-def test_validate_catches_tampering():
+def test_from_dict_rejects_tampered_aggregates():
     report = _report([(1.0, 2.0), (3.0, 4.0)])
     for field, delta in (
         ("mean_processing_ms", 0.5),
         ("fps_uncapped", 1.0),
         ("p95_processing_ms", -0.5),
+        ("frame_count", 3),
     ):
-        broken = dataclasses.replace(report, **{field: getattr(report, field) + delta})
-        with pytest.raises(ValueError):
-            broken.validate()
-    with pytest.raises(ValueError):
-        dataclasses.replace(report, frame_count=5).validate()
+        broken = report.to_dict()
+        broken[field] += delta
+        with pytest.raises(ValueError, match=field):
+            RunReport.from_dict(broken)
 
 
 def test_report_dict_round_trip():
     report = _report([(1.25, 2.5), (0.75, 3.0)], vsync=75.0, partial=True)
     assert RunReport.from_dict(report.to_dict()) == report
+
+
+def test_report_json_is_pinned():
+    report = _report([(1.25, 2.5), (0.75, 3.0)], vsync=75.0, partial=True)
+    assert json.dumps(report.to_dict()) == (
+        '{"frame_count": 2, "per_frame": [{"acquisition_ms": 1.25, "processing_ms": 2.5}, '
+        '{"acquisition_ms": 0.75, "processing_ms": 3.0}], "mean_acquisition_ms": 1.0, '
+        '"mean_processing_ms": 2.75, "p50_processing_ms": 2.5, "p95_processing_ms": 3.0, '
+        '"fps_uncapped": 266.6666666666667, "fps_capped": 75.0, "vsync_hz": 75.0, '
+        '"partial": true}'
+    )
 
 
 def test_run_reports_valid_aggregates():
@@ -195,7 +217,7 @@ def test_run_reports_valid_aggregates():
     assert not report.partial
     assert report.fps_capped <= 60.0
     assert report.fps_capped <= report.fps_uncapped
-    report.validate()
+    assert RunReport.from_dict(report.to_dict()) == report
 
 
 def test_run_identity_chain_caps_at_vsync():

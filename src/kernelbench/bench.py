@@ -11,11 +11,12 @@ from __future__ import annotations
 import platform
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
 from .kernels import Kernel
-from .pipeline import DetectorKind, Engine, FramePattern, RunReport, SyntheticSource, run
+from .pipeline import DetectorKind, FramePattern, RunReport, SyntheticSource, run
 from .shadergen import ChainPass, ChainSpec
 
 RESOLUTIONS = ((320, 240), (640, 480), (1280, 720), (1920, 1080))
@@ -49,7 +50,7 @@ class ScenarioReport:
     scenario: Scenario
     rows: tuple[ScenarioRow, ...]
     host_note: str
-    schema_version: int = SCHEMA_VERSION
+    schema_version: ClassVar[int] = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(self.rows))
@@ -72,13 +73,21 @@ class ScenarioReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioReport":
+        """Rebuild a report, checking each row as RunReport.from_dict does.
+
+        Raises:
+            ValueError: if schema_version is not SCHEMA_VERSION, or a row
+                does not load.
+        """
+        if data["schema_version"] != SCHEMA_VERSION:
+            raise ValueError(
+                f"schema_version is {data['schema_version']!r}, this reader needs {SCHEMA_VERSION}"
+            )
         rows = tuple(
             ScenarioRow(row["label"], RunReport.from_dict(row["report"]))
             for row in data["rows"]
         )
-        return cls(
-            Scenario(data["scenario"]), rows, data["host_note"], data["schema_version"]
-        )
+        return cls(Scenario(data["scenario"]), rows, data["host_note"])
 
 
 def _host_note() -> str:
@@ -89,33 +98,29 @@ def _host_note() -> str:
     )
 
 
+def _sweep(scenario: Scenario, cases, frames: int, vsync: float) -> ScenarioReport:
+    """Run each (label, (width, height), work) case on a seeded gradient source."""
+    rows = []
+    for label, (width, height), work in cases:
+        source = SyntheticSource(width, height, FramePattern.MOVING_GRADIENT, seed=0)
+        report = run(source, work, frames=frames, vsync_hz=vsync, warmup=WARMUP_FRAMES)
+        rows.append(ScenarioRow(label, report))
+    return ScenarioReport(scenario, rows, _host_note())
+
+
 def scenario_resolutions(
-    engine: Engine = Engine.CPU,
-    frames: int = DEFAULT_FRAMES,
-    vsync: float = DEFAULT_VSYNC_HZ,
+    frames: int = DEFAULT_FRAMES, vsync: float = DEFAULT_VSYNC_HZ
 ) -> ScenarioReport:
     """Sobel over synthetic sources at the four fixed resolutions.
 
     Per-pixel work is constant, so CPU processing time should track pixel
     count linearly across the rows.
     """
-    rows = []
-    for width, height in RESOLUTIONS:
-        source = SyntheticSource(width, height, FramePattern.MOVING_GRADIENT, seed=0)
-        report = run(
-            source,
-            DetectorKind.SOBEL,
-            frames=frames,
-            vsync_hz=vsync,
-            engine=engine,
-            warmup=WARMUP_FRAMES,
-        )
-        rows.append(ScenarioRow(f"{width}x{height}", report))
-    return ScenarioReport(Scenario.RESOLUTION_SWEEP, tuple(rows), _host_note())
+    cases = ((f"{w}x{h}", (w, h), DetectorKind.SOBEL) for w, h in RESOLUTIONS)
+    return _sweep(Scenario.RESOLUTION_SWEEP, cases, frames, vsync)
 
 
 def scenario_operators(
-    engine: Engine = Engine.CPU,
     frames: int = DEFAULT_FRAMES,
     vsync: float = DEFAULT_VSYNC_HZ,
     resolution: tuple = (320, 240),
@@ -125,18 +130,8 @@ def scenario_operators(
     Chain time should track the repeat count linearly: each additional
     application adds the same per-frame work.
     """
-    width, height = resolution
-    rows = []
-    for count in OPERATOR_COUNTS:
-        chain = ChainSpec((ChainPass(SMOOTHING_KERNEL, normalize=True, repeat=count),))
-        source = SyntheticSource(width, height, FramePattern.MOVING_GRADIENT, seed=0)
-        report = run(
-            source,
-            chain,
-            frames=frames,
-            vsync_hz=vsync,
-            engine=engine,
-            warmup=WARMUP_FRAMES,
-        )
-        rows.append(ScenarioRow(str(count), report))
-    return ScenarioReport(Scenario.OPERATOR_SWEEP, tuple(rows), _host_note())
+    cases = (
+        (str(n), resolution, ChainSpec((ChainPass(SMOOTHING_KERNEL, normalize=True, repeat=n),)))
+        for n in OPERATOR_COUNTS
+    )
+    return _sweep(Scenario.OPERATOR_SWEEP, cases, frames, vsync)

@@ -30,7 +30,7 @@ from .detectors import (
 from .errors import KernelBenchError, RangeError
 from .image import atomic_write_bytes, read_pnm, to_luminance, write_pnm
 from .kernels import BorderPolicy, correlate, parse_kernel
-from .pipeline import DetectorKind, Engine, RawStreamSource, run
+from .pipeline import DetectorKind, RawStreamSource, run
 from .shadergen import ChainPass, ChainSpec, generate_program, write_program
 
 
@@ -87,11 +87,12 @@ def _cmd_gen_shader(args) -> int:
 
 def _cmd_bench(args) -> int:
     vsync = args.vsync if args.vsync is not None else _default_vsync()
-    engine = Engine(args.engine)
-    if args.scenario == "resolutions":
-        report = scenario_resolutions(engine, args.frames, vsync)
-    else:
-        report = scenario_operators(engine, args.frames, vsync)
+    if args.json is not None:
+        directory = os.path.dirname(args.json) or "."
+        if not os.path.isdir(directory):
+            raise FileNotFoundError(f"--json directory {directory} does not exist")
+    scenario = scenario_resolutions if args.scenario == "resolutions" else scenario_operators
+    report = scenario(args.frames, vsync)
     _print_scenario(report)
     if args.json is not None:
         payload = json.dumps(report.to_dict(), indent=2) + "\n"
@@ -166,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run a benchmark scenario")
     bench.add_argument("scenario", choices=["resolutions", "operators"])
-    bench.add_argument("--engine", choices=["cpu", "chainref"], default="cpu")
     bench.add_argument("--frames", type=int, default=DEFAULT_FRAMES, metavar="N")
     bench.add_argument("--vsync", type=float, default=None, metavar="HZ")
     bench.add_argument("--json", default=None, metavar="PATH")

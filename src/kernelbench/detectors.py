@@ -10,11 +10,14 @@ from .errors import FormatError, RangeError
 from .image import ImageBuffer, _ieee_arithmetic
 from .kernels import (
     FREI_CHEN,
+    SOBEL_GX,
+    SOBEL_GY,
     BorderPolicy,
     _correlate_samples,
     _strip_rows,
     pad_samples,
 )
+from .shadergen import ChainPass, ChainSpec, execute_chain_reference
 
 # Below this squared-response total a pixel is considered flat and the
 # Frei-Chen measure is defined as 0 instead of dividing by (near) zero.
@@ -134,7 +137,8 @@ def _frei_chen_measure(shape, subset: FreiChenSubset, correlate_mask) -> ImageBu
     """sqrt(M / S) over the nine basis masks, the one Frei-Chen combine.
 
     correlate_mask(mask, out) writes the response to one mask into out, an
-    array of the given shape; each engine supplies its own correlation step.
+    array of the given shape; frei_chen and its chain reference each supply
+    their own correlation step.
     Responses are squared in place and summed in basis order into M (the
     subset's masks) and S (all nine). Pixels with S below FREI_CHEN_EPSILON
     report 0. Because the subset terms are added in the same order in M and
@@ -179,6 +183,31 @@ def frei_chen(
     return _frei_chen_measure(
         arr.shape, subset, lambda mask, out: _correlate_samples(padded, mask.coefficients, out)
     )
+
+
+# The chain references: the detector math above with every mask correlated
+# as a single-pass chain by shadergen's CPU executor. Their outputs equal the
+# detectors' byte for byte, and tests hold the detectors to them.
+_SOBEL_GX_CHAIN = ChainSpec((ChainPass(SOBEL_GX),))
+_SOBEL_GY_CHAIN = ChainSpec((ChainPass(SOBEL_GY),))
+
+
+def _sobel_via_chains(image: ImageBuffer) -> ImageBuffer:
+    """Reference for sobel_magnitude and sobel_magnitude_rgb (clamp-to-edge)."""
+    gx = execute_chain_reference(image, _SOBEL_GX_CHAIN).samples
+    gy = execute_chain_reference(image, _SOBEL_GY_CHAIN).samples
+    magnitude = np.empty(gx.shape[:2] + (1,))
+    _combine_gradients(gx, gy, magnitude[:, :, 0])
+    return ImageBuffer._from_array(magnitude)
+
+
+def _frei_chen_via_chains(gray: ImageBuffer, subset: FreiChenSubset) -> ImageBuffer:
+    """Reference for frei_chen (clamp-to-edge)."""
+
+    def correlate_mask(mask, out):
+        np.copyto(out, execute_chain_reference(gray, ChainSpec((ChainPass(mask),))).samples)
+
+    return _frei_chen_measure(gray.samples.shape, subset, correlate_mask)
 
 
 def threshold(image: ImageBuffer, t: float) -> ImageBuffer:

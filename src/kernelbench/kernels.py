@@ -230,6 +230,7 @@ def correlate(
     return ImageBuffer._from_array(out)
 
 
+@_ieee_arithmetic
 def compose(k1: Kernel, k2: Kernel) -> Kernel:
     """Return the single kernel equivalent to correlating with k1 then k2.
 
@@ -237,6 +238,9 @@ def compose(k1: Kernel, k2: Kernel) -> Kernel:
     correlate(I, compose(k1, k2)). The result has side s1 + s2 - 1 and is
     computed by direct double summation over coefficient pairs, which keeps
     this function usable as an oracle for the engine.
+
+    Raises:
+        ValueError: if a composed coefficient overflows to inf.
     """
     a = k1.coefficients
     b = k2.coefficients

@@ -18,17 +18,10 @@ from enum import Enum
 
 import numpy as np
 
-from .detectors import (
-    FreiChenSubset,
-    _combine_gradients,
-    _frei_chen_measure,
-    frei_chen,
-    sobel_magnitude_rgb,
-)
+from .detectors import FreiChenSubset, frei_chen, sobel_magnitude_rgb
 from .errors import EndOfStream, SizeError
 from .image import ImageBuffer, PixelFormat, decode_bytes, to_luminance
-from .kernels import SOBEL_GX, SOBEL_GY
-from .shadergen import ChainPass, ChainSpec, execute_chain_reference
+from .shadergen import ChainSpec, execute_chain_reference
 
 
 def now() -> int:
@@ -162,21 +155,6 @@ def next_frame(source: FrameSource, index: int) -> ImageBuffer:
     return _raw_frame(source, index)
 
 
-class Engine(Enum):
-    """Which execution path processes frames.
-
-    CPU runs the direct numpy operators. CHAIN_REFERENCE is the same
-    detector math, with each per-mask correlation run through the chain
-    executor: every mask becomes a single-pass chain, and the detector's own
-    combine step (shared with CPU) merges the responses. Its outputs equal
-    the CPU engine's. For plain chain workloads the two engines execute the
-    same correlations.
-    """
-
-    CPU = "cpu"
-    CHAIN_REFERENCE = "chainref"
-
-
 class DetectorKind(Enum):
     """Built-in detector workloads for the frame loop."""
 
@@ -188,39 +166,13 @@ class DetectorKind(Enum):
 # subspace; callers wanting a specific subset use detectors.frei_chen.
 PIPELINE_FREI_CHEN_SUBSET = FreiChenSubset.EDGE_AND_LINE
 
-_SOBEL_GX_CHAIN = ChainSpec((ChainPass(SOBEL_GX),))
-_SOBEL_GY_CHAIN = ChainSpec((ChainPass(SOBEL_GY),))
-
-
-def _sobel_via_chains(frame: ImageBuffer) -> ImageBuffer:
-    gx = execute_chain_reference(frame, _SOBEL_GX_CHAIN).samples
-    gy = execute_chain_reference(frame, _SOBEL_GY_CHAIN).samples
-    magnitude = np.empty(gx.shape[:2] + (1,))
-    _combine_gradients(gx, gy, magnitude[:, :, 0])
-    return ImageBuffer._from_array(magnitude)
-
-
-def _frei_chen_via_chains(gray: ImageBuffer) -> ImageBuffer:
-    def correlate_mask(mask, out):
-        np.copyto(out, execute_chain_reference(gray, ChainSpec((ChainPass(mask),))).samples)
-
-    return _frei_chen_measure(gray.samples.shape, PIPELINE_FREI_CHEN_SUBSET, correlate_mask)
-
-
-def _process_frame(frame: ImageBuffer, work, engine: Engine) -> ImageBuffer:
+def _process_frame(frame: ImageBuffer, work) -> ImageBuffer:
     if isinstance(work, ChainSpec):
-        # Chains execute identically under both engines: the reference
-        # executor is the CPU implementation of chain semantics.
         return execute_chain_reference(frame, work)
     if work is DetectorKind.SOBEL:
-        if engine is Engine.CHAIN_REFERENCE:
-            return _sobel_via_chains(frame)
         return sobel_magnitude_rgb(frame)
     if work is DetectorKind.FREI_CHEN:
-        gray = to_luminance(frame)
-        if engine is Engine.CHAIN_REFERENCE:
-            return _frei_chen_via_chains(gray)
-        return frei_chen(gray, PIPELINE_FREI_CHEN_SUBSET)
+        return frei_chen(to_luminance(frame), PIPELINE_FREI_CHEN_SUBSET)
     raise TypeError(f"work must be a ChainSpec or DetectorKind, got {type(work).__name__}")
 
 
@@ -235,6 +187,11 @@ class FrameStats:
         for ms in (self.acquisition_ms, self.processing_ms):
             if not (math.isfinite(ms) and ms >= 0.0):
                 raise ValueError(f"frame timings must be finite and non-negative, got {ms}")
+
+
+def _check_vsync(vsync_hz: float) -> None:
+    if not (vsync_hz > 0.0 and math.isfinite(vsync_hz)):
+        raise ValueError(f"vsync_hz must be positive and finite, got {vsync_hz}")
 
 
 def _nearest_rank(ordered, pct: float) -> float:
@@ -254,6 +211,9 @@ class RunReport:
     + mean_processing_ms), and fps_capped is that value capped at vsync_hz.
     A run truncated by the source ending early carries partial=True. A run
     with no measured frames reports all aggregates as 0.0.
+
+    Raises:
+        ValueError: if vsync_hz is not finite and > 0.
     """
 
     per_frame: tuple[FrameStats, ...]
@@ -268,6 +228,7 @@ class RunReport:
     fps_capped: float = field(init=False)
 
     def __post_init__(self) -> None:
+        _check_vsync(self.vsync_hz)
         frames = tuple(self.per_frame)
         count = len(frames)
         aggregates = (0.0,) * 6
@@ -308,7 +269,7 @@ class RunReport:
         """Rebuild a report from per_frame, checking the stored aggregates.
 
         Raises:
-            ValueError: if a frame timing is negative or not finite, or if
+            ValueError: if vsync_hz or a frame timing is out of range, or if
                 frame_count or a stored aggregate differs from its value
                 derived from per_frame by more than 1e-9 relative (1e-12
                 absolute).
@@ -331,7 +292,6 @@ def run(
     work,
     frames: int,
     vsync_hz: float = 60.0,
-    engine: Engine = Engine.CPU,
     warmup: int = 0,
 ) -> RunReport:
     """Process `frames` frames, timing acquisition and processing separately.
@@ -348,13 +308,11 @@ def run(
         work: a ChainSpec or a DetectorKind.
         frames: measured frame count, >= 1.
         vsync_hz: display refresh ceiling for fps_capped, finite and > 0.
-        engine: execution path, see Engine.
         warmup: frames discarded before measurement, >= 0.
     """
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
-    if not (vsync_hz > 0.0 and math.isfinite(vsync_hz)):
-        raise ValueError(f"vsync_hz must be positive and finite, got {vsync_hz}")
+    _check_vsync(vsync_hz)
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
     measured = []
@@ -367,7 +325,7 @@ def run(
             partial = True
             break
         acquired = now()
-        _process_frame(frame, work, engine)
+        _process_frame(frame, work)
         done = now()
         if index >= warmup:
             measured.append(

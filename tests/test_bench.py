@@ -9,7 +9,6 @@ from kernelbench import (
     OPERATOR_COUNTS,
     RESOLUTIONS,
     WARMUP_FRAMES,
-    Engine,
     FrameStats,
     RunReport,
     Scenario,
@@ -18,6 +17,7 @@ from kernelbench import (
     scenario_operators,
     scenario_resolutions,
 )
+from kernelbench.bench import SCHEMA_VERSION
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).parent.parent / "docs" / "report_schema.json").read_text()
@@ -98,11 +98,16 @@ def test_serialized_reports_validate_against_schema(tiny_resolution_report):
     jsonschema.validate(operators.to_dict(), SCHEMA)
 
 
-def test_chainref_engine_runs_the_sweep():
-    report = scenario_operators(engine=Engine.CHAIN_REFERENCE, frames=1, resolution=(32, 24))
-    assert len(report.rows) == 6
-    for row in report.rows:
-        assert RunReport.from_dict(row.report.to_dict()) == row.report
+def test_scenario_report_rejects_other_schema_versions():
+    rows = (ScenarioRow("2", RunReport([FrameStats(1.0, 2.0)], 60.0)),)
+    report = ScenarioReport(Scenario.OPERATOR_SWEEP, rows, "host")
+    assert report.schema_version == SCHEMA_VERSION == 1
+    assert ScenarioReport.from_dict(report.to_dict()) == report
+    for version in (0, 2, 99, "1", None):
+        payload = report.to_dict()
+        payload["schema_version"] = version
+        with pytest.raises(ValueError, match="schema_version"):
+            ScenarioReport.from_dict(payload)
 
 
 @pytest.fixture(scope="module")

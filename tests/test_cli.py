@@ -167,6 +167,19 @@ def test_bench_rejects_non_finite_vsync_flag_before_any_frame(monkeypatch, capsy
     assert "vsync_hz" in capsys.readouterr().err
 
 
+def test_bench_rejects_missing_json_directory_before_any_frame(tmp_path, monkeypatch, capsys):
+    import kernelbench.pipeline
+
+    def no_frames(*args):
+        raise AssertionError("a frame ran before the --json check")
+
+    monkeypatch.setattr(kernelbench.pipeline, "_process_frame", no_frames)
+    out = tmp_path / "missing-dir" / "report.json"
+    assert main(["bench", "operators", "--frames", "1", "--json", str(out)]) == 1
+    assert "missing-dir" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_pipeline_rejects_empty_raw_file(tmp_path, capsys):
     raw = tmp_path / "empty.rgb"
     raw.write_bytes(b"")
@@ -216,6 +229,7 @@ def test_usage_errors_exit_2(capsys):
     assert main(["convolve", "--in", "a", "--out", "b", "--kernel", nan_kernel]) == 2
     assert main(["gen-shader", "--kernel", "3 0 0 0 0 inf 0 0 0 0", "--out", "s"]) == 2
     assert main([]) == 2
+    assert main(["bench", "operators", "--engine", "chainref"]) == 2
     capsys.readouterr()
 
 

@@ -133,8 +133,9 @@ def test_sobel_scales_with_amplitude():
 @pytest.mark.filterwarnings("error")
 def test_non_finite_and_huge_pixels_follow_ieee_without_warnings():
     # inf - inf, inf / inf and sums past 1.8e308 have IEEE results (NaN or
-    # inf); every entry point and both engines' detectors give them silently.
-    from kernelbench.pipeline import DetectorKind, Engine, _process_frame
+    # inf); every entry point, the frame loop and the chain references give
+    # them silently.
+    from kernelbench.pipeline import DetectorKind, _process_frame
 
     rng = np.random.default_rng(35)
     specials = np.array([np.inf, -np.inf, np.nan, 1e308, -1e308])
@@ -154,8 +155,12 @@ def test_non_finite_and_huge_pixels_follow_ieee_without_warnings():
     for subset in FreiChenSubset:
         assert np.isnan(frei_chen(gray, subset).samples).any()
     assert np.isnan(to_luminance(rgb).samples).any()
-    for kind, engine in itertools.product(DetectorKind, Engine):
-        _process_frame(rgb, kind, engine)
+    for kind in DetectorKind:
+        _process_frame(rgb, kind)
+    detectors._sobel_via_chains(gray)
+    detectors._sobel_via_chains(rgb)
+    for subset in FreiChenSubset:
+        detectors._frei_chen_via_chains(gray, subset)
 
 
 def test_frei_chen_constant_edge_subset_is_zero():

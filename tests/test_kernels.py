@@ -235,6 +235,12 @@ def test_compose_identity_is_neutral():
     np.testing.assert_allclose(compose(k, identity).coefficients, padded, atol=1e-15)
 
 
+def test_compose_overflow_raises_value_error_without_a_warning():
+    huge = Kernel([[1e200]])
+    with pytest.raises(ValueError, match="finite"):
+        compose(huge, huge)
+
+
 def test_compose_box_with_box():
     box = Kernel(np.ones((3, 3)))
     expected = [

@@ -9,9 +9,9 @@ from kernelbench import (
     ChainSpec,
     DetectorKind,
     EndOfStream,
-    Engine,
     FramePattern,
     FrameStats,
+    FreiChenSubset,
     ImageBuffer,
     Kernel,
     PixelFormat,
@@ -22,9 +22,12 @@ from kernelbench import (
     clock_resolution_ms,
     elapsed_ms,
     encode_bytes,
+    frei_chen,
     next_frame,
     now,
     run,
+    sobel_magnitude,
+    to_luminance,
 )
 
 IDENTITY_CHAIN = ChainSpec((ChainPass(Kernel([[0, 0, 0], [0, 1, 0], [0, 0, 0]])),))
@@ -172,6 +175,16 @@ def test_nearest_rank_percentiles():
     assert pair.p95_processing_ms == 9.0
 
 
+@pytest.mark.parametrize("vsync", [-5.0, 0.0, math.inf, math.nan])
+def test_report_rejects_vsync_outside_positive_finite(vsync):
+    with pytest.raises(ValueError, match="vsync_hz"):
+        _report([(1.0, 2.0)], vsync=vsync)
+    payload = _report([(1.0, 2.0)]).to_dict()
+    payload["vsync_hz"] = vsync
+    with pytest.raises(ValueError, match="vsync_hz"):
+        RunReport.from_dict(payload)
+
+
 def test_empty_report_is_all_zero_and_valid():
     report = _report([], partial=True)
     assert report.frame_count == 0
@@ -262,24 +275,24 @@ def test_run_argument_validation():
         run(src, "sobel", frames=1)
 
 
-def _detector_output(src, kind, engine):
-    frame = next_frame(src, 0)
-    from kernelbench.pipeline import _process_frame
-
-    return _process_frame(frame, kind, engine).samples
-
-
 def test_engines_agree_on_detectors():
-    src = SyntheticSource(24, 18, FramePattern.MOVING_GRADIENT, seed=9)
-    for kind in DetectorKind:
-        cpu = _detector_output(src, kind, Engine.CPU)
-        ref = _detector_output(src, kind, Engine.CHAIN_REFERENCE)
-        np.testing.assert_allclose(ref, cpu, rtol=1e-12, atol=1e-12)
+    # The frame loop's detectors against the chain references, which run
+    # every mask through the chain executor instead of the fused strip loop.
+    from kernelbench.detectors import _frei_chen_via_chains, _sobel_via_chains
+    from kernelbench.pipeline import PIPELINE_FREI_CHEN_SUBSET, _process_frame
 
+    def agree(actual, reference):
+        np.testing.assert_allclose(actual.samples, reference.samples, rtol=1e-12, atol=1e-12)
 
-def test_engines_coincide_for_chains():
-    src = SyntheticSource(16, 16, FramePattern.CHECKERBOARD, seed=4)
-    chain = ChainSpec((ChainPass(Kernel(np.ones((3, 3))), normalize=True, repeat=2),))
-    cpu = _detector_output(src, chain, Engine.CPU)
-    ref = _detector_output(src, chain, Engine.CHAIN_REFERENCE)
-    np.testing.assert_array_equal(cpu, ref)
+    synthetic = next_frame(SyntheticSource(24, 18, FramePattern.MOVING_GRADIENT, seed=9), 0)
+    noise = ImageBuffer(np.random.default_rng(36).random((13, 11, 3)))
+    for frame in (synthetic, noise):
+        gray = to_luminance(frame)
+        agree(_process_frame(frame, DetectorKind.SOBEL), _sobel_via_chains(frame))
+        agree(sobel_magnitude(gray), _sobel_via_chains(gray))
+        agree(
+            _process_frame(frame, DetectorKind.FREI_CHEN),
+            _frei_chen_via_chains(gray, PIPELINE_FREI_CHEN_SUBSET),
+        )
+        for subset in FreiChenSubset:
+            agree(frei_chen(gray, subset), _frei_chen_via_chains(gray, subset))

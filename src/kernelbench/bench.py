@@ -76,12 +76,14 @@ class ScenarioReport:
         """Rebuild a report, checking each row as RunReport.from_dict does.
 
         Raises:
-            ValueError: if schema_version is not SCHEMA_VERSION, or a row
-                does not load.
+            ValueError: if schema_version is not the int SCHEMA_VERSION (a
+                bool or float equal to it is rejected too), or a row does
+                not load.
         """
-        if data["schema_version"] != SCHEMA_VERSION:
+        version = data["schema_version"]
+        if type(version) is not int or version != SCHEMA_VERSION:
             raise ValueError(
-                f"schema_version is {data['schema_version']!r}, this reader needs {SCHEMA_VERSION}"
+                f"schema_version is {version!r}, this reader needs {SCHEMA_VERSION}"
             )
         rows = tuple(
             ScenarioRow(row["label"], RunReport.from_dict(row["report"]))

@@ -91,6 +91,8 @@ def _cmd_bench(args) -> int:
         directory = os.path.dirname(args.json) or "."
         if not os.path.isdir(directory):
             raise FileNotFoundError(f"--json directory {directory} does not exist")
+        if os.path.isdir(args.json):
+            raise IsADirectoryError(f"--json path {args.json} is a directory")
     scenario = scenario_resolutions if args.scenario == "resolutions" else scenario_operators
     report = scenario(args.frames, vsync)
     _print_scenario(report)

@@ -13,15 +13,19 @@ from .kernels import (
     SOBEL_GX,
     SOBEL_GY,
     BorderPolicy,
-    _correlate_samples,
+    _split_taps,
+    _stencil_strip,
     _strip_rows,
     pad_samples,
 )
 from .shadergen import ChainPass, ChainSpec, execute_chain_reference
 
-# Below this squared-response total a pixel is considered flat and the
-# Frei-Chen measure is defined as 0 instead of dividing by (near) zero.
+# Below this squared-response total the Frei-Chen measure is defined as 0
+# instead of dividing by (near) zero.
 FREI_CHEN_EPSILON = 1e-12
+
+# The positive and negative taps of each Frei-Chen mask, in basis order.
+_FREI_CHEN_TAPS = tuple(_split_taps(mask.coefficients) for mask in FREI_CHEN)
 
 
 class FreiChenSubset(Enum):
@@ -132,35 +136,61 @@ def sobel_magnitude_rgb(
     return _sobel(image, border)
 
 
-@_ieee_arithmetic
-def _frei_chen_measure(shape, subset: FreiChenSubset, correlate_mask) -> ImageBuffer:
-    """sqrt(M / S) over the nine basis masks, the one Frei-Chen combine.
+def _flat_windows(band: np.ndarray) -> np.ndarray:
+    """Mask of the pixels whose 3x3 window in band is finite and constant.
 
-    correlate_mask(mask, out) writes the response to one mask into out, an
-    array of the given shape; frei_chen and its chain reference each supply
-    their own correlation step.
-    Responses are squared in place and summed in basis order into M (the
-    subset's masks) and S (all nine). Pixels with S below FREI_CHEN_EPSILON
-    report 0. Because the subset terms are added in the same order in M and
-    S, M never exceeds S even in float arithmetic, so the output stays within
-    [0, 1].
+    band holds the padded rows of one output strip plus one row above and
+    below it. A row of a window is constant when its left and right samples
+    equal its middle one; the window is constant when its three rows are and
+    the middle column is. NaN equals nothing, so a window holding one is
+    never flat, and a constant window of infinities is not finite.
     """
-    numerator = np.zeros(shape)
-    total = np.zeros(shape)
-    response = np.empty(shape)
-    chosen = set(subset.mask_indices)
-    for index, mask in enumerate(FREI_CHEN):
-        correlate_mask(mask, response)
+    n, w = band.shape[0] - 2, band.shape[1] - 2
+    middle = band[:, 1 : w + 1]
+    across = (middle == band[:, :w]) & (middle == band[:, 2:])
+    centre = middle[1 : n + 1]
+    flat = across[:n] & across[1 : n + 1] & across[2:]
+    flat &= centre == middle[:n]
+    flat &= centre == middle[2:]
+    flat &= np.isfinite(centre)
+    return flat
+
+
+def _frei_chen_rows(band, subset: FreiChenSubset, respond, out, buffers) -> None:
+    """out = sqrt(M / S) for one row strip, the one Frei-Chen combine.
+
+    respond(index, dest) writes the strip's response to FREI_CHEN[index]
+    into dest; frei_chen and its chain reference each supply their own.
+    band is the strip's rows of the padded image with one row above and
+    below, and buffers holds three scratch arrays of out's shape.
+    Responses are squared in place and summed in basis order into M (the
+    subset's masks) and S (all nine). Because the subset terms are added in
+    the same order in M and S, M never exceeds S even in float arithmetic,
+    so the output stays within [0, 1]. Pixels with S below
+    FREI_CHEN_EPSILON report 0, and so do pixels whose padded window is
+    finite and constant: rounding in G7 and G8, whose positive and negative
+    taps differ, would otherwise leave about 1e-16 there.
+    """
+    response, numerator, total = buffers
+    numerator.fill(0.0)
+    total.fill(0.0)
+    chosen = subset.mask_indices
+    for index in range(len(FREI_CHEN)):
+        respond(index, response)
         np.multiply(response, response, out=response)
         total += response
         if index in chosen:
             numerator += response
-    flat = total < FREI_CHEN_EPSILON
-    np.divide(numerator, total, out=numerator, where=~flat)
-    numerator[flat] = 0.0
-    return ImageBuffer._from_array(np.sqrt(numerator))
+    # Where S is 0, M is too, so the divide can give only 0 / 0 = NaN
+    # there, which the guard replaces.
+    np.divide(numerator, total, out=numerator)
+    zero = total < FREI_CHEN_EPSILON
+    zero |= _flat_windows(band)
+    numerator[zero] = 0.0
+    np.sqrt(numerator, out=out)
 
 
+@_ieee_arithmetic
 def frei_chen(
     image: ImageBuffer,
     subset: FreiChenSubset,
@@ -169,9 +199,10 @@ def frei_chen(
     """Frei-Chen edge measure sqrt(M / S) in [0, 1].
 
     M sums the squared responses of the chosen subset, S those of all nine
-    basis masks. Pixels with S below FREI_CHEN_EPSILON report 0, and the
-    output stays within [0, 1]. The image is padded once and each mask runs
-    through the fused strip loop.
+    basis masks. Pixels with S below FREI_CHEN_EPSILON report 0, and so do
+    pixels whose padded 3x3 window is finite and constant; the output stays
+    within [0, 1]. The image is padded once, then one fused loop runs the
+    nine masks and the combine strip by strip over five strip buffers.
 
     Raises:
         FormatError: if the image is not single-channel.
@@ -179,10 +210,22 @@ def frei_chen(
     if image.channels != 1:
         raise FormatError("frei_chen requires a gray image; convert with to_luminance")
     arr = image.samples
+    h, w = arr.shape[0], arr.shape[1]
     padded = pad_samples(arr, 1, border)
-    return _frei_chen_measure(
-        arr.shape, subset, lambda mask, out: _correlate_samples(padded, mask.coefficients, out)
-    )
+    out = np.empty_like(arr)
+    strip = _strip_rows(arr, buffers=5)
+    response, scratch, acc, numerator, total = np.empty((5, min(strip, h)) + arr.shape[1:])
+    for y0 in range(0, h, strip):
+        y1 = min(y0 + strip, h)
+        n = y1 - y0
+
+        def respond(index, dest):
+            pos, neg = _FREI_CHEN_TAPS[index]
+            _stencil_strip(padded, pos, neg, y0, y1, w, dest, scratch[:n], acc[:n])
+
+        buffers = (response[:n], numerator[:n], total[:n])
+        _frei_chen_rows(padded[y0 : y1 + 2], subset, respond, out[y0:y1], buffers)
+    return ImageBuffer._from_array(out)
 
 
 # The chain references: the detector math above with every mask correlated
@@ -201,13 +244,19 @@ def _sobel_via_chains(image: ImageBuffer) -> ImageBuffer:
     return ImageBuffer._from_array(magnitude)
 
 
+@_ieee_arithmetic
 def _frei_chen_via_chains(gray: ImageBuffer, subset: FreiChenSubset) -> ImageBuffer:
-    """Reference for frei_chen (clamp-to-edge)."""
+    """Reference for frei_chen (clamp-to-edge), run as one strip."""
 
-    def correlate_mask(mask, out):
-        np.copyto(out, execute_chain_reference(gray, ChainSpec((ChainPass(mask),))).samples)
+    def respond(index, dest):
+        chain = ChainSpec((ChainPass(FREI_CHEN[index]),))
+        np.copyto(dest, execute_chain_reference(gray, chain).samples)
 
-    return _frei_chen_measure(gray.samples.shape, subset, correlate_mask)
+    arr = gray.samples
+    out = np.empty_like(arr)
+    band = pad_samples(arr, 1, BorderPolicy.CLAMP_TO_EDGE)
+    _frei_chen_rows(band, subset, respond, out, np.empty((3,) + arr.shape))
+    return ImageBuffer._from_array(out)
 
 
 def threshold(image: ImageBuffer, t: float) -> ImageBuffer:

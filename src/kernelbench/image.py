@@ -92,8 +92,11 @@ def decode_bytes(data, width: int, height: int, fmt: PixelFormat) -> ImageBuffer
     Each byte b becomes the sample b / 255.0 exactly.
 
     Raises:
-        SizeError: if the byte count does not match width*height*channels.
+        SizeError: if width or height is below 1, or the byte count does not
+            match width*height*channels.
     """
+    if width < 1 or height < 1:
+        raise SizeError(f"dimensions must be at least 1x1, got {width}x{height}")
     raw = bytes(data)
     expected = width * height * fmt.channels
     if len(raw) != expected:

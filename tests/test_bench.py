@@ -103,7 +103,8 @@ def test_scenario_report_rejects_other_schema_versions():
     report = ScenarioReport(Scenario.OPERATOR_SWEEP, rows, "host")
     assert report.schema_version == SCHEMA_VERSION == 1
     assert ScenarioReport.from_dict(report.to_dict()) == report
-    for version in (0, 2, 99, "1", None):
+    # True == 1 and 1.0 == 1 in Python, but neither is the integer version.
+    for version in (0, 2, 99, "1", None, True, 1.0):
         payload = report.to_dict()
         payload["schema_version"] = version
         with pytest.raises(ValueError, match="schema_version"):

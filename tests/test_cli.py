@@ -180,6 +180,20 @@ def test_bench_rejects_missing_json_directory_before_any_frame(tmp_path, monkeyp
     assert not out.parent.exists()
 
 
+def test_bench_rejects_json_path_that_is_a_directory_before_any_frame(
+    tmp_path, monkeypatch, capsys
+):
+    import kernelbench.pipeline
+
+    def no_frames(*args):
+        raise AssertionError("a frame ran before the --json check")
+
+    monkeypatch.setattr(kernelbench.pipeline, "_process_frame", no_frames)
+    assert main(["bench", "operators", "--frames", "1", "--json", str(tmp_path)]) == 1
+    assert "is a directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pipeline_rejects_empty_raw_file(tmp_path, capsys):
     raw = tmp_path / "empty.rgb"
     raw.write_bytes(b"")

@@ -205,6 +205,109 @@ def test_frei_chen_scale_invariance():
     np.testing.assert_allclose(scaled, base, atol=1e-5)
 
 
+def _flat_windows(arr, border):
+    """Pixels whose padded 3x3 window is finite and constant."""
+    padded = kernels.pad_samples(arr, 1, border)[:, :, 0]
+    h, w = arr.shape[0], arr.shape[1]
+    flat = np.isfinite(arr[:, :, 0])
+    for dy, dx in itertools.product(range(3), range(3)):
+        flat &= padded[dy : dy + h, dx : dx + w] == arr[:, :, 0]
+    return flat
+
+
+def test_frei_chen_is_exactly_zero_on_flat_windows():
+    # G7 and G8 have positive and negative taps that are different
+    # multisets, so without the flat rule LINE and EDGE_AND_LINE leave about
+    # 1e-16 on a constant window at many gray levels.
+    levels = np.arange(256) / 255.0
+    # Side by side 5-wide patches of every level, so each patch borders a
+    # step edge and its interior columns are flat.
+    patches = np.repeat(levels[(np.arange(256) * 97) % 256], 5)
+    images = [np.full((5, 5, 1), level) for level in levels]
+    images.append(np.tile(patches, (5, 1))[:, :, np.newaxis])
+    for arr, subset, border in itertools.product(images, FreiChenSubset, BorderPolicy):
+        flat = _flat_windows(arr, border)
+        assert flat.any()
+        out = frei_chen(ImageBuffer(arr), subset, border).samples[:, :, 0]
+        assert np.all(out[flat] == 0.0)
+        assert not np.signbit(out[flat]).any()
+
+
+def test_frei_chen_flat_rule_needs_a_finite_window():
+    for value, subset in itertools.product((np.inf, -np.inf), FreiChenSubset):
+        out = frei_chen(ImageBuffer(np.full((4, 5, 1), value)), subset).samples
+        assert np.isnan(out).all()
+    arr = np.full((7, 7, 1), 0.7)
+    arr[3, 3, 0] = np.nan
+    near = np.zeros((7, 7), dtype=bool)
+    near[2:5, 2:5] = True
+    for subset in FreiChenSubset:
+        out = frei_chen(ImageBuffer(arr), subset).samples[:, :, 0]
+        assert np.isnan(out[near]).all()
+        assert np.all(out[~near] == 0.0)
+
+
+def test_frei_chen_flat_rule_holds_across_strips():
+    rng = np.random.default_rng(38)
+    arr = rng.random((13, 2048, 1))
+    arr[6:, 100:300] = 0.7
+    strip = kernels._strip_rows(arr, buffers=5)
+    # The patch's flat rows, 7 to 12, straddle a strip boundary.
+    assert 7 < strip < 13
+    out = frei_chen(ImageBuffer(arr), FreiChenSubset.LINE).samples[:, :, 0]
+    flat = _flat_windows(arr, BorderPolicy.CLAMP_TO_EDGE)
+    assert flat[7:, 101:299].all() and flat.sum() == 6 * 198
+    assert np.all(out[flat] == 0.0)
+    assert np.all(out[~flat] > 0.0)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _frei_chen_frame_sized(arr, subset, border):
+    """The Frei-Chen measure over frame-sized arrays, as computed before the fused strip loop."""
+    image = ImageBuffer(arr)
+    numerator = np.zeros(arr.shape)
+    total = np.zeros(arr.shape)
+    for index, mask in enumerate(kernels.FREI_CHEN):
+        response = kernels.correlate(image, mask, border).samples
+        squared = response * response
+        total += squared
+        if index in subset.mask_indices:
+            numerator += squared
+    guard = total < detectors.FREI_CHEN_EPSILON
+    np.divide(numerator, total, out=numerator, where=~guard)
+    numerator[guard] = 0.0
+    return np.sqrt(numerator)
+
+
+def test_fused_frei_chen_is_bit_identical_to_the_frame_sized_combine():
+    rng = np.random.default_rng(39)
+    specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
+    wide = (13, 2048)
+    # The wide image must span several strips of the fused loop.
+    assert kernels._strip_rows(np.empty(wide + (1,)), buffers=5) < wide[0]
+    shapes = [(1, 1), (1, 9), (9, 1), wide]
+    shapes += [tuple(int(n) for n in rng.integers(1, 40, size=2)) for _ in range(8)]
+    for (h, w), with_specials in itertools.product(shapes, (False, True)):
+        # Random samples with a flat patch, so the flat rule has pixels to act on.
+        arr = rng.standard_normal((h, w, 1))
+        arr[: h // 2 + 1, : w // 2 + 1] = 0.35
+        if with_specials:
+            flat = arr.reshape(-1)
+            picks = rng.random(flat.size) < 0.2
+            flat[picks] = rng.choice(specials, size=int(picks.sum()))
+        for subset, border in itertools.product(FreiChenSubset, BorderPolicy):
+            got = frei_chen(ImageBuffer(arr), subset, border).samples
+            want = _frei_chen_frame_sized(arr, subset, border)
+            flat = _flat_windows(arr, border)
+            # tobytes compares NaN payloads and the sign of zero as well.
+            assert got[~flat].tobytes() == want[~flat].tobytes()
+            assert np.all(got[flat] == 0.0)
+            if border is BorderPolicy.CLAMP_TO_EDGE:
+                chains = detectors._frei_chen_via_chains(ImageBuffer(arr), subset).samples
+                assert np.array_equal(got, chains, equal_nan=True)
+                assert got.tobytes() == chains.tobytes()
+
+
 def test_frei_chen_subset_indices():
     assert list(FreiChenSubset.EDGE.mask_indices) == [0, 1, 2, 3]
     assert list(FreiChenSubset.LINE.mask_indices) == [4, 5, 6, 7]

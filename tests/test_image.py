@@ -32,6 +32,14 @@ def test_decode_length_mismatch():
         decode_bytes(bytes([1, 2]), 3, 1, PixelFormat.GRAY8)
 
 
+def test_decode_rejects_dimensions_below_one():
+    # The byte counts match width*height here, so only the dimension check
+    # stands between these calls and an empty or failed reshape.
+    for data, width, height in ((b"", 0, 5), (b"", 5, 0), (bytes(5), -1, -5)):
+        with pytest.raises(SizeError, match="at least 1x1"):
+            decode_bytes(data, width, height, PixelFormat.GRAY8)
+
+
 def test_encode_rounds_half_away_from_zero():
     buf = ImageBuffer(np.array([[0.5]]))
     assert encode_bytes(buf, PixelFormat.GRAY8) == bytes([128])

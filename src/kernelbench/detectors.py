@@ -10,15 +10,12 @@ from .errors import FormatError, RangeError
 from .image import ImageBuffer, _ieee_arithmetic
 from .kernels import (
     FREI_CHEN,
-    SOBEL_GX,
-    SOBEL_GY,
     BorderPolicy,
     _split_taps,
     _stencil_strip,
     _strip_rows,
     pad_samples,
 )
-from .shadergen import ChainPass, ChainSpec, execute_chain_reference
 
 # Below this squared-response total the Frei-Chen measure is defined as 0
 # instead of dividing by (near) zero.
@@ -45,10 +42,10 @@ class FreiChenSubset(Enum):
         return range(0, 8)
 
 
-def _combine_gradients(gx, gy, out: np.ndarray, scratch=None) -> None:
+def _combine_gradients(gx, gy, out: np.ndarray, scratch: np.ndarray) -> None:
     """out = max over channels of hypot(gx, gy), the Sobel channel combine.
 
-    hypot writes into scratch when one is given (gx itself may be). The max
+    hypot writes into scratch, which may be gx itself. The max
     is one np.maximum per extra channel on the channel views, which numpy
     runs far faster than np.max over a 3-wide inner axis. Both give the same
     value; only where several channels are NaN may they keep different NaNs.
@@ -156,40 +153,6 @@ def _flat_windows(band: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _frei_chen_rows(band, subset: FreiChenSubset, respond, out, buffers) -> None:
-    """out = sqrt(M / S) for one row strip, the one Frei-Chen combine.
-
-    respond(index, dest) writes the strip's response to FREI_CHEN[index]
-    into dest; frei_chen and its chain reference each supply their own.
-    band is the strip's rows of the padded image with one row above and
-    below, and buffers holds three scratch arrays of out's shape.
-    Responses are squared in place and summed in basis order into M (the
-    subset's masks) and S (all nine). Because the subset terms are added in
-    the same order in M and S, M never exceeds S even in float arithmetic,
-    so the output stays within [0, 1]. Pixels with S below
-    FREI_CHEN_EPSILON report 0, and so do pixels whose padded window is
-    finite and constant: rounding in G7 and G8, whose positive and negative
-    taps differ, would otherwise leave about 1e-16 there.
-    """
-    response, numerator, total = buffers
-    numerator.fill(0.0)
-    total.fill(0.0)
-    chosen = subset.mask_indices
-    for index in range(len(FREI_CHEN)):
-        respond(index, response)
-        np.multiply(response, response, out=response)
-        total += response
-        if index in chosen:
-            numerator += response
-    # Where S is 0, M is too, so the divide can give only 0 / 0 = NaN
-    # there, which the guard replaces.
-    np.divide(numerator, total, out=numerator)
-    zero = total < FREI_CHEN_EPSILON
-    zero |= _flat_windows(band)
-    numerator[zero] = 0.0
-    np.sqrt(numerator, out=out)
-
-
 @_ieee_arithmetic
 def frei_chen(
     image: ImageBuffer,
@@ -199,10 +162,14 @@ def frei_chen(
     """Frei-Chen edge measure sqrt(M / S) in [0, 1].
 
     M sums the squared responses of the chosen subset, S those of all nine
-    basis masks. Pixels with S below FREI_CHEN_EPSILON report 0, and so do
-    pixels whose padded 3x3 window is finite and constant; the output stays
-    within [0, 1]. The image is padded once, then one fused loop runs the
-    nine masks and the combine strip by strip over five strip buffers.
+    basis masks. The image is padded once, then one fused loop runs the nine
+    masks and the combine strip by strip over five strip buffers. Responses
+    are squared in place and summed in basis order into M and S; because the
+    subset terms are added in the same order in both, M never exceeds S even
+    in float arithmetic, so the output stays within [0, 1]. Pixels with S
+    below FREI_CHEN_EPSILON report 0, and so do pixels whose padded 3x3
+    window is finite and constant: rounding in G7 and G8, whose positive and
+    negative taps differ, would otherwise leave about 1e-16 there.
 
     Raises:
         FormatError: if the image is not single-channel.
@@ -214,48 +181,26 @@ def frei_chen(
     padded = pad_samples(arr, 1, border)
     out = np.empty_like(arr)
     strip = _strip_rows(arr, buffers=5)
-    response, scratch, acc, numerator, total = np.empty((5, min(strip, h)) + arr.shape[1:])
+    buffers = np.empty((5, min(strip, h)) + arr.shape[1:])
+    chosen = subset.mask_indices
     for y0 in range(0, h, strip):
         y1 = min(y0 + strip, h)
-        n = y1 - y0
-
-        def respond(index, dest):
-            pos, neg = _FREI_CHEN_TAPS[index]
-            _stencil_strip(padded, pos, neg, y0, y1, w, dest, scratch[:n], acc[:n])
-
-        buffers = (response[:n], numerator[:n], total[:n])
-        _frei_chen_rows(padded[y0 : y1 + 2], subset, respond, out[y0:y1], buffers)
-    return ImageBuffer._from_array(out)
-
-
-# The chain references: the detector math above with every mask correlated
-# as a single-pass chain by shadergen's CPU executor. Their outputs equal the
-# detectors' byte for byte, and tests hold the detectors to them.
-_SOBEL_GX_CHAIN = ChainSpec((ChainPass(SOBEL_GX),))
-_SOBEL_GY_CHAIN = ChainSpec((ChainPass(SOBEL_GY),))
-
-
-def _sobel_via_chains(image: ImageBuffer) -> ImageBuffer:
-    """Reference for sobel_magnitude and sobel_magnitude_rgb (clamp-to-edge)."""
-    gx = execute_chain_reference(image, _SOBEL_GX_CHAIN).samples
-    gy = execute_chain_reference(image, _SOBEL_GY_CHAIN).samples
-    magnitude = np.empty(gx.shape[:2] + (1,))
-    _combine_gradients(gx, gy, magnitude[:, :, 0])
-    return ImageBuffer._from_array(magnitude)
-
-
-@_ieee_arithmetic
-def _frei_chen_via_chains(gray: ImageBuffer, subset: FreiChenSubset) -> ImageBuffer:
-    """Reference for frei_chen (clamp-to-edge), run as one strip."""
-
-    def respond(index, dest):
-        chain = ChainSpec((ChainPass(FREI_CHEN[index]),))
-        np.copyto(dest, execute_chain_reference(gray, chain).samples)
-
-    arr = gray.samples
-    out = np.empty_like(arr)
-    band = pad_samples(arr, 1, BorderPolicy.CLAMP_TO_EDGE)
-    _frei_chen_rows(band, subset, respond, out, np.empty((3,) + arr.shape))
+        response, scratch, acc, numerator, total = buffers[:, : y1 - y0]
+        numerator.fill(0.0)
+        total.fill(0.0)
+        for index, (pos, neg) in enumerate(_FREI_CHEN_TAPS):
+            _stencil_strip(padded, pos, neg, y0, y1, w, response, scratch, acc)
+            np.multiply(response, response, out=response)
+            total += response
+            if index in chosen:
+                numerator += response
+        # Where S is 0, M is too, so the divide can give only 0 / 0 = NaN
+        # there, which the guard replaces.
+        np.divide(numerator, total, out=numerator)
+        zero = total < FREI_CHEN_EPSILON
+        zero |= _flat_windows(padded[y0 : y1 + 2])
+        numerator[zero] = 0.0
+        np.sqrt(numerator, out=out[y0:y1])
     return ImageBuffer._from_array(out)
 
 

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule its checks share."""
+
+from numbers import Integral
+
+
+def _is_count(value, minimum: int = 1) -> bool:
+    """The rule for sizes, counts and repeats: an int, not a bool, at or above minimum."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= minimum
 
 
 class KernelBenchError(Exception):

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FormatError, RangeError, SizeError, UnsupportedFormat
+from .errors import FormatError, RangeError, SizeError, UnsupportedFormat, _is_count
 
 # Non-finite or huge samples give IEEE 754 results (inf - inf is NaN, 2e308
 # is inf) by design; entry points that compute on pixels carry this decorator
@@ -36,15 +36,19 @@ class ImageBuffer:
     """Immutable row-major grid of float samples with 1 or 3 channels.
 
     The constructor copies its input; use the array with shape (height,
-    width, channels) or (height, width) for a single channel. Instances are
-    values: the backing array is marked read-only and safe to share across
-    threads.
+    width, channels) or (height, width) for a single channel. A complex
+    input raises FormatError instead of losing its imaginary part. Instances
+    are values: the backing array is marked read-only and safe to share
+    across threads.
     """
 
     __slots__ = ("_samples",)
 
     def __init__(self, samples) -> None:
-        arr = np.array(samples, dtype=np.float64)
+        arr = np.asarray(samples)
+        if np.iscomplexobj(arr):
+            raise FormatError("samples must be real; got a complex array")
+        arr = np.array(arr, dtype=np.float64)
         if arr.ndim == 2:
             arr = arr.reshape(arr.shape + (1,))
         if arr.ndim != 3:
@@ -86,17 +90,21 @@ class ImageBuffer:
         return f"ImageBuffer({self.width}x{self.height}, channels={self.channels})"
 
 
+def _check_dimensions(width, height) -> None:
+    if not (_is_count(width) and _is_count(height)):
+        raise SizeError(f"dimensions must be integers of at least 1x1, got {width!r}x{height!r}")
+
+
 def decode_bytes(data, width: int, height: int, fmt: PixelFormat) -> ImageBuffer:
     """Decode packed 8-bit pixel data into a float buffer.
 
     Each byte b becomes the sample b / 255.0 exactly.
 
     Raises:
-        SizeError: if width or height is below 1, or the byte count does not
-            match width*height*channels.
+        SizeError: if width or height is not an integer of at least 1, or the
+            byte count does not match width*height*channels.
     """
-    if width < 1 or height < 1:
-        raise SizeError(f"dimensions must be at least 1x1, got {width}x{height}")
+    _check_dimensions(width, height)
     raw = bytes(data)
     expected = width * height * fmt.channels
     if len(raw) != expected:
@@ -176,7 +184,7 @@ def read_pnm(path) -> ImageBuffer:
 
     Raises:
         UnsupportedFormat: for other magics or maxvals.
-        SizeError: if the pixel data is truncated.
+        SizeError: if a dimension is below 1 or the pixel data is truncated.
     """
     with open(path, "rb") as f:
         magic = f.read(2)
@@ -196,11 +204,7 @@ def read_pnm(path) -> ImageBuffer:
             raise UnsupportedFormat(f"malformed PNM header in {path}") from exc
         if maxval != 255:
             raise UnsupportedFormat(f"maxval must be 255, got {maxval}")
-        if width < 1 or height < 1:
-            raise SizeError(f"bad PNM dimensions {width}x{height}")
         body = f.read(width * height * fmt.channels)
-    if len(body) != width * height * fmt.channels:
-        raise SizeError(f"truncated pixel data in {path}")
     return decode_bytes(body, width, height, fmt)
 
 

@@ -19,8 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .detectors import FreiChenSubset, frei_chen, sobel_magnitude_rgb
-from .errors import EndOfStream, SizeError
-from .image import ImageBuffer, PixelFormat, decode_bytes, to_luminance
+from .errors import EndOfStream, SizeError, _is_count
+from .image import ImageBuffer, PixelFormat, _check_dimensions, decode_bytes, to_luminance
 from .shadergen import ChainSpec, execute_chain_reference
 
 
@@ -76,8 +76,7 @@ class SyntheticSource:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise SizeError(f"dimensions must be at least 1x1, got {self.width}x{self.height}")
+        _check_dimensions(self.width, self.height)
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,7 @@ class RawStreamSource:
     height: int
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise SizeError(f"dimensions must be at least 1x1, got {self.width}x{self.height}")
+        _check_dimensions(self.width, self.height)
         size = os.path.getsize(self.path)
         if size == 0:
             raise SizeError(f"{self.path} is empty; it holds no frame")
@@ -190,7 +188,7 @@ class FrameStats:
 
 
 def _check_vsync(vsync_hz: float) -> None:
-    if not (vsync_hz > 0.0 and math.isfinite(vsync_hz)):
+    if isinstance(vsync_hz, bool) or not (vsync_hz > 0.0 and math.isfinite(vsync_hz)):
         raise ValueError(f"vsync_hz must be positive and finite, got {vsync_hz}")
 
 
@@ -213,7 +211,7 @@ class RunReport:
     with no measured frames reports all aggregates as 0.0.
 
     Raises:
-        ValueError: if vsync_hz is not finite and > 0.
+        ValueError: if vsync_hz is a bool or not finite and > 0.
     """
 
     per_frame: tuple[FrameStats, ...]
@@ -269,17 +267,27 @@ class RunReport:
         """Rebuild a report from per_frame, checking the stored aggregates.
 
         Raises:
-            ValueError: if vsync_hz or a frame timing is out of range, or if
-                frame_count or a stored aggregate differs from its value
-                derived from per_frame by more than 1e-9 relative (1e-12
-                absolute).
+            ValueError: if a key is missing, partial is not a bool, vsync_hz
+                or a frame timing is out of range, frame_count is not the
+                integer number of frames, or a stored aggregate differs from
+                its value derived from per_frame by more than 1e-9 relative
+                (1e-12 absolute).
         """
-        frames = (FrameStats(f["acquisition_ms"], f["processing_ms"]) for f in data["per_frame"])
-        report = cls(frames, data["vsync_hz"], data["partial"])
-        for name in _DERIVED:
-            stored, derived = data[name], getattr(report, name)
-            if not math.isclose(stored, derived, rel_tol=1e-9, abs_tol=1e-12):
-                raise ValueError(f"{name} is {stored}, per_frame gives {derived}")
+        try:
+            timings = [(f["acquisition_ms"], f["processing_ms"]) for f in data["per_frame"]]
+            stored = {name: data[name] for name in ("vsync_hz", "partial") + _DERIVED}
+        except KeyError as exc:
+            raise ValueError(f"report is missing the key {exc.args[0]!r}") from None
+        partial, count = stored.pop("partial"), stored.pop("frame_count")
+        if type(partial) is not bool:
+            raise ValueError(f"partial must be true or false, got {partial!r}")
+        report = cls(tuple(FrameStats(*t) for t in timings), stored.pop("vsync_hz"), partial)
+        if type(count) is not int or count != report.frame_count:
+            raise ValueError(f"frame_count is {count!r}, per_frame gives {report.frame_count}")
+        for name, value in stored.items():
+            derived = getattr(report, name)
+            if not math.isclose(value, derived, rel_tol=1e-9, abs_tol=1e-12):
+                raise ValueError(f"{name} is {value}, per_frame gives {derived}")
         return report
 
 
@@ -306,15 +314,18 @@ def run(
     Args:
         source: frame provider.
         work: a ChainSpec or a DetectorKind.
-        frames: measured frame count, >= 1.
+        frames: measured frame count, an integer >= 1.
         vsync_hz: display refresh ceiling for fps_capped, finite and > 0.
-        warmup: frames discarded before measurement, >= 0.
+        warmup: frames discarded before measurement, an integer >= 0.
+
+    Raises:
+        ValueError: for any other frames, warmup or vsync_hz, before any
+            frame runs.
     """
-    if frames < 1:
-        raise ValueError(f"frames must be >= 1, got {frames}")
+    for name, value, minimum in (("frames", frames, 1), ("warmup", warmup, 0)):
+        if not _is_count(value, minimum):
+            raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     _check_vsync(vsync_hz)
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
     measured = []
     partial = False
     for index in range(frames + warmup):

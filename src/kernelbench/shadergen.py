@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyChain, UnsupportedKernel
+from .errors import EmptyChain, UnsupportedKernel, _is_count
 from .image import ImageBuffer, atomic_write_bytes
 from .kernels import BorderPolicy, Kernel, correlate
 
@@ -38,8 +38,8 @@ class ChainPass:
             raise UnsupportedKernel(
                 f"the shader target fixes u_kernel[9]; kernel side must be 3, got {self.kernel.side}"
             )
-        if self.repeat < 1:
-            raise ValueError(f"repeat must be >= 1, got {self.repeat}")
+        if not _is_count(self.repeat):
+            raise ValueError(f"repeat must be an integer >= 1, got {self.repeat!r}")
 
 
 @dataclass(frozen=True)

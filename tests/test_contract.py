@@ -1,0 +1,105 @@
+"""The input contract, one table row per case.
+
+Each row of BAD_INPUTS names a public entry point, a bad input, and the typed
+error that entry point documents for it. The error comes before any frame
+runs and without a numpy warning. ACCEPTED holds inputs the same rules must
+still take, such as numpy integers for counts. Add a row here for a new case
+instead of a one-off test.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from kernelbench import (
+    SOBEL_GX,
+    ChainPass,
+    DetectorKind,
+    FormatError,
+    ImageBuffer,
+    PixelFormat,
+    RawStreamSource,
+    RunReport,
+    SizeError,
+    SyntheticSource,
+    decode_bytes,
+    run,
+)
+
+
+def _raw_file(tmp_path, size=12):
+    path = tmp_path / "clip.rgb"
+    path.write_bytes(bytes(size))
+    return str(path)
+
+
+def _report_dict(**changes):
+    data = run(SOURCE, SOBEL, frames=1).to_dict()
+    data.update(changes)
+    return data
+
+
+def _without(key):
+    data = _report_dict()
+    del data[key]
+    return data
+
+
+SOURCE = SyntheticSource(4, 3)
+SOBEL = DetectorKind.SOBEL
+GRAY8 = PixelFormat.GRAY8
+
+# (id, call taking pytest's tmp_path, error)
+BAD_INPUTS = [
+    # Sizes, counts and repeats: an int, not a bool, at or above a minimum.
+    ("synthetic-width-float", lambda tmp: SyntheticSource(1.5, 2), SizeError),
+    ("synthetic-width-bool", lambda tmp: SyntheticSource(True, 2), SizeError),
+    ("raw-width-float", lambda tmp: RawStreamSource(_raw_file(tmp), 2.0, 2), SizeError),
+    ("raw-height-bool", lambda tmp: RawStreamSource(_raw_file(tmp, 3), 1, True), SizeError),
+    ("decode-width-float", lambda tmp: decode_bytes(bytes(4), 2.0, 2, GRAY8), SizeError),
+    ("decode-width-bool", lambda tmp: decode_bytes(bytes(2), True, 2, GRAY8), SizeError),
+    ("chainpass-repeat-float", lambda tmp: ChainPass(SOBEL_GX, repeat=2.5), ValueError),
+    ("chainpass-repeat-bool", lambda tmp: ChainPass(SOBEL_GX, repeat=True), ValueError),
+    ("run-frames-bool", lambda tmp: run(SOURCE, SOBEL, frames=True), ValueError),
+    ("run-frames-float", lambda tmp: run(SOURCE, SOBEL, frames=1.5), ValueError),
+    ("run-warmup-float", lambda tmp: run(SOURCE, SOBEL, frames=1, warmup=0.5), ValueError),
+    ("run-warmup-bool", lambda tmp: run(SOURCE, SOBEL, frames=1, warmup=False), ValueError),
+    # Reports loaded from outside data, and the vsync rule they share with run.
+    ("from-dict-partial-string", lambda tmp: RunReport.from_dict(_report_dict(partial="no")),
+     ValueError),
+    ("from-dict-frame-count-float",
+     lambda tmp: RunReport.from_dict(_report_dict(frame_count=1.0000000001)), ValueError),
+    ("from-dict-frame-count-bool",
+     lambda tmp: RunReport.from_dict(_report_dict(frame_count=True)), ValueError),
+    ("from-dict-missing-key", lambda tmp: RunReport.from_dict(_without("fps_capped")),
+     ValueError),
+    ("run-vsync-bool", lambda tmp: run(SOURCE, SOBEL, frames=1, vsync_hz=True), ValueError),
+    ("report-vsync-bool", lambda tmp: RunReport((), True), ValueError),
+    # Pixel buffers.
+    ("image-complex", lambda tmp: ImageBuffer(np.array([[1 + 1j]])), FormatError),
+    ("image-complex-list", lambda tmp: ImageBuffer([[0.5, 1j]]), FormatError),
+]
+
+ACCEPTED = [
+    ("synthetic-numpy-width", lambda tmp: SyntheticSource(np.int64(2), 1)),
+    ("chainpass-numpy-repeat", lambda tmp: ChainPass(SOBEL_GX, repeat=np.int64(2))),
+    ("run-numpy-frames", lambda tmp: run(SOURCE, SOBEL, frames=np.int64(1), warmup=np.int64(0))),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error", [pytest.param(call, error, id=name) for name, call, error in BAD_INPUTS]
+)
+def test_bad_input_raises_its_typed_error(call, error, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call(tmp_path)
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=name) for name, call in ACCEPTED])
+def test_good_inputs_are_accepted(call, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(tmp_path)

@@ -10,11 +10,14 @@ from kernelbench import (
     SOBEL_GY,
     BorderPolicy,
     FormatError,
+    FramePattern,
     FreiChenSubset,
     ImageBuffer,
     Kernel,
     RangeError,
+    SyntheticSource,
     frei_chen,
+    next_frame,
     sobel_magnitude,
     sobel_magnitude_rgb,
     threshold,
@@ -133,8 +136,7 @@ def test_sobel_scales_with_amplitude():
 @pytest.mark.filterwarnings("error")
 def test_non_finite_and_huge_pixels_follow_ieee_without_warnings():
     # inf - inf, inf / inf and sums past 1.8e308 have IEEE results (NaN or
-    # inf); every entry point, the frame loop and the chain references give
-    # them silently.
+    # inf); every entry point and the frame loop give them silently.
     from kernelbench.pipeline import DetectorKind, _process_frame
 
     rng = np.random.default_rng(35)
@@ -157,10 +159,6 @@ def test_non_finite_and_huge_pixels_follow_ieee_without_warnings():
     assert np.isnan(to_luminance(rgb).samples).any()
     for kind in DetectorKind:
         _process_frame(rgb, kind)
-    detectors._sobel_via_chains(gray)
-    detectors._sobel_via_chains(rgb)
-    for subset in FreiChenSubset:
-        detectors._frei_chen_via_chains(gray, subset)
 
 
 def test_frei_chen_constant_edge_subset_is_zero():
@@ -302,10 +300,33 @@ def test_fused_frei_chen_is_bit_identical_to_the_frame_sized_combine():
             # tobytes compares NaN payloads and the sign of zero as well.
             assert got[~flat].tobytes() == want[~flat].tobytes()
             assert np.all(got[flat] == 0.0)
-            if border is BorderPolicy.CLAMP_TO_EDGE:
-                chains = detectors._frei_chen_via_chains(ImageBuffer(arr), subset).samples
-                assert np.array_equal(got, chains, equal_nan=True)
-                assert got.tobytes() == chains.tobytes()
+
+
+def test_detectors_agree_with_the_independent_references():
+    # The detectors, also as the frame loop runs them, against references
+    # that correlate each mask over the whole frame and combine on their own,
+    # so a fault in a detector's combine shows here.
+    from kernelbench.pipeline import PIPELINE_FREI_CHEN_SUBSET, DetectorKind, _process_frame
+
+    def agree(actual, reference):
+        shape = (actual.height, actual.width)
+        np.testing.assert_allclose(
+            actual.samples.reshape(shape), reference.reshape(shape), rtol=1e-12, atol=1e-12
+        )
+
+    clamp = BorderPolicy.CLAMP_TO_EDGE
+    synthetic = next_frame(SyntheticSource(24, 18, FramePattern.MOVING_GRADIENT, seed=9), 0)
+    noise = ImageBuffer(np.random.default_rng(36).random((13, 11, 3)))
+    for frame in (synthetic, noise):
+        gray = to_luminance(frame)
+        agree(_process_frame(frame, DetectorKind.SOBEL), _sobel_tap_loop(frame.samples, clamp))
+        agree(sobel_magnitude(gray), _sobel_tap_loop(gray.samples, clamp))
+        agree(
+            _process_frame(frame, DetectorKind.FREI_CHEN),
+            _frei_chen_frame_sized(gray.samples, PIPELINE_FREI_CHEN_SUBSET, clamp),
+        )
+        for subset in FreiChenSubset:
+            agree(frei_chen(gray, subset), _frei_chen_frame_sized(gray.samples, subset, clamp))
 
 
 def test_frei_chen_subset_indices():

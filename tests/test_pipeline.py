@@ -11,7 +11,6 @@ from kernelbench import (
     EndOfStream,
     FramePattern,
     FrameStats,
-    FreiChenSubset,
     ImageBuffer,
     Kernel,
     PixelFormat,
@@ -22,12 +21,9 @@ from kernelbench import (
     clock_resolution_ms,
     elapsed_ms,
     encode_bytes,
-    frei_chen,
     next_frame,
     now,
     run,
-    sobel_magnitude,
-    to_luminance,
 )
 
 IDENTITY_CHAIN = ChainSpec((ChainPass(Kernel([[0, 0, 0], [0, 1, 0], [0, 0, 0]])),))
@@ -273,26 +269,3 @@ def test_run_argument_validation():
             run(src, "sobel", frames=1, vsync_hz=vsync)
     with pytest.raises(TypeError):
         run(src, "sobel", frames=1)
-
-
-def test_engines_agree_on_detectors():
-    # The frame loop's detectors against the chain references, which run
-    # every mask through the chain executor instead of the fused strip loop.
-    from kernelbench.detectors import _frei_chen_via_chains, _sobel_via_chains
-    from kernelbench.pipeline import PIPELINE_FREI_CHEN_SUBSET, _process_frame
-
-    def agree(actual, reference):
-        np.testing.assert_allclose(actual.samples, reference.samples, rtol=1e-12, atol=1e-12)
-
-    synthetic = next_frame(SyntheticSource(24, 18, FramePattern.MOVING_GRADIENT, seed=9), 0)
-    noise = ImageBuffer(np.random.default_rng(36).random((13, 11, 3)))
-    for frame in (synthetic, noise):
-        gray = to_luminance(frame)
-        agree(_process_frame(frame, DetectorKind.SOBEL), _sobel_via_chains(frame))
-        agree(sobel_magnitude(gray), _sobel_via_chains(gray))
-        agree(
-            _process_frame(frame, DetectorKind.FREI_CHEN),
-            _frei_chen_via_chains(gray, PIPELINE_FREI_CHEN_SUBSET),
-        )
-        for subset in FreiChenSubset:
-            agree(frei_chen(gray, subset), _frei_chen_via_chains(gray, subset))

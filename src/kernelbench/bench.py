@@ -76,20 +76,23 @@ class ScenarioReport:
         """Rebuild a report, checking each row as RunReport.from_dict does.
 
         Raises:
-            ValueError: if schema_version is not the int SCHEMA_VERSION (a
-                bool or float equal to it is rejected too), or a row does
-                not load.
+            ValueError: if a key is missing, schema_version is not the int
+                SCHEMA_VERSION (a bool or float equal to it is rejected too),
+                or a row does not load.
         """
-        version = data["schema_version"]
-        if type(version) is not int or version != SCHEMA_VERSION:
-            raise ValueError(
-                f"schema_version is {version!r}, this reader needs {SCHEMA_VERSION}"
+        try:
+            version = data["schema_version"]
+            if type(version) is not int or version != SCHEMA_VERSION:
+                raise ValueError(
+                    f"schema_version is {version!r}, this reader needs {SCHEMA_VERSION}"
+                )
+            rows = tuple(
+                ScenarioRow(row["label"], RunReport.from_dict(row["report"]))
+                for row in data["rows"]
             )
-        rows = tuple(
-            ScenarioRow(row["label"], RunReport.from_dict(row["report"]))
-            for row in data["rows"]
-        )
-        return cls(Scenario(data["scenario"]), rows, data["host_note"])
+            return cls(Scenario(data["scenario"]), rows, data["host_note"])
+        except KeyError as exc:
+            raise ValueError(f"scenario report is missing the key {exc.args[0]!r}") from None
 
 
 def _host_note() -> str:

@@ -13,6 +13,7 @@ from .kernels import (
     BorderPolicy,
     _split_taps,
     _stencil_strip,
+    _strip_grid,
     _strip_rows,
     pad_samples,
 )
@@ -179,28 +180,31 @@ def frei_chen(
     arr = image.samples
     h, w = arr.shape[0], arr.shape[1]
     padded = pad_samples(arr, 1, border)
+    flat = padded.reshape(-1)
+    pitch = w + 2
     out = np.empty_like(arr)
-    strip = _strip_rows(arr, buffers=5)
-    buffers = np.empty((5, min(strip, h)) + arr.shape[1:])
+    strip = _strip_rows(padded, buffers=5)
+    buffers = np.empty((5, min(strip, h) * pitch))
     chosen = subset.mask_indices
     for y0 in range(0, h, strip):
-        y1 = min(y0 + strip, h)
-        response, scratch, acc, numerator, total = buffers[:, : y1 - y0]
+        rows = min(strip, h - y0)
+        response, scratch, acc, numerator, total = buffers[:, : (rows - 1) * pitch + w]
         numerator.fill(0.0)
         total.fill(0.0)
         for index, (pos, neg) in enumerate(_FREI_CHEN_TAPS):
-            _stencil_strip(padded, pos, neg, y0, y1, w, response, scratch, acc)
+            _stencil_strip(flat, pos, neg, y0 * pitch, pitch, 1, response, scratch, acc)
             np.multiply(response, response, out=response)
             total += response
             if index in chosen:
                 numerator += response
+        numerator, total = (_strip_grid(b, rows, pitch, w, 1) for b in buffers[3:])
         # Where S is 0, M is too, so the divide can give only 0 / 0 = NaN
         # there, which the guard replaces.
         np.divide(numerator, total, out=numerator)
         zero = total < FREI_CHEN_EPSILON
-        zero |= _flat_windows(padded[y0 : y1 + 2])
+        zero |= _flat_windows(padded[y0 : y0 + rows + 2])
         numerator[zero] = 0.0
-        np.sqrt(numerator, out=out[y0:y1])
+        np.sqrt(numerator, out=out[y0 : y0 + rows])
     return ImageBuffer._from_array(out)
 
 

@@ -1,11 +1,16 @@
-"""Exception types shared across the package, and the integer rule its checks share."""
+"""Exception types shared across the package, and the number rules its checks share."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 def _is_count(value, minimum: int = 1) -> bool:
     """The rule for sizes, counts and repeats: an int, not a bool, at or above minimum."""
     return isinstance(value, Integral) and not isinstance(value, bool) and value >= minimum
+
+
+def _is_real(value) -> bool:
+    """The rule for timings and rates: a real number, not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 class KernelBenchError(Exception):

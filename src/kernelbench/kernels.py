@@ -138,15 +138,20 @@ def _split_taps(coefficients: np.ndarray):
     return pos, neg
 
 
-def _accumulate(padded, taps, y0, y1, w, dest, scratch):
-    """dest = sum of weight * shifted-view over taps, for one row strip.
+def _accumulate(flat, taps, base, pitch, channels, dest, scratch):
+    """dest = sum of weight * shifted slice over taps, for one row strip.
 
-    A tap whose stored weight is exactly 1.0 is added straight from its view
+    flat is the padded sample array as one vector and dest a strip buffer laid
+    out on its row pitch (see _strip_grid), so tap (dy, dx) reads the
+    contiguous slice of flat that starts dy rows and dx pixels after base.
+
+    A tap whose stored weight is exactly 1.0 is added straight from its slice
     instead of going through a multiply and the scratch array. This is
     bit-identical to multiplying: x * 1.0 == x for every double, including
     -0.0, the infinities and NaN, and the taps are summed in the same order.
     """
-    views = [(padded[y0 + dy : y1 + dy, dx : dx + w], weight) for dy, dx, weight in taps]
+    starts = [(base + dy * pitch + dx * channels, weight) for dy, dx, weight in taps]
+    views = [(flat[start : start + dest.size], weight) for start, weight in starts]
     first, weight = views[0]
     rest = views[1:]
     if weight != 1.0:
@@ -164,32 +169,32 @@ def _accumulate(padded, taps, y0, y1, w, dest, scratch):
             dest += scratch
 
 
-def _stencil_strip(padded, pos, neg, y0, y1, w, out, scratch, acc):
-    """Correlate one output row strip [y0, y1) into out."""
+def _stencil_strip(flat, pos, neg, base, pitch, channels, out, scratch, acc):
+    """Correlate one row strip into out; the arguments are those of _accumulate."""
     if pos and neg:
-        _accumulate(padded, pos, y0, y1, w, out, scratch)
-        _accumulate(padded, neg, y0, y1, w, acc, scratch)
+        _accumulate(flat, pos, base, pitch, channels, out, scratch)
+        _accumulate(flat, neg, base, pitch, channels, acc, scratch)
         out -= acc
     elif pos:
-        _accumulate(padded, pos, y0, y1, w, out, scratch)
+        _accumulate(flat, pos, base, pitch, channels, out, scratch)
     elif neg:
-        _accumulate(padded, neg, y0, y1, w, out, scratch)
+        _accumulate(flat, neg, base, pitch, channels, out, scratch)
         np.negative(out, out=out)
     else:
         out[:] = 0.0
 
 
-def _correlate_samples(padded: np.ndarray, coefficients: np.ndarray, out: np.ndarray) -> None:
-    """Correlate a pre-padded sample array into out, strip by strip."""
-    pos, neg = _split_taps(coefficients)
-    h, w = out.shape[0], out.shape[1]
-    strip = _strip_rows(out)
-    scratch = np.empty((min(strip, h),) + out.shape[1:])
-    acc = np.empty_like(scratch)
-    for y0 in range(0, h, strip):
-        y1 = min(y0 + strip, h)
-        n = y1 - y0
-        _stencil_strip(padded, pos, neg, y0, y1, w, out[y0:y1], scratch[:n], acc[:n])
+def _strip_grid(buf: np.ndarray, rows: int, pitch: int, w: int, channels: int) -> np.ndarray:
+    """The (rows, w, channels) output pixels of a strip buffer.
+
+    A strip buffer is laid out on the padded row pitch, (w + 2r) * channels:
+    output pixel (y, x, k) of the strip is element y * pitch + x * channels + k.
+    So each stencil tap reads one contiguous slice of the padded array. The
+    last 2r * channels elements of each buffer row match no output pixel; they
+    are computed, may hold inf or NaN, and are never read.
+    """
+    valid = buf[: rows * pitch].reshape(rows, pitch)[:, : w * channels]
+    return valid.reshape(rows, w, channels)
 
 
 def pad_samples(arr: np.ndarray, radius: int, border: BorderPolicy) -> np.ndarray:
@@ -219,14 +224,31 @@ def correlate(
             through the same code path unscaled.
     """
     arr = image.samples
+    h, w, channels = arr.shape
     padded = pad_samples(arr, kernel.side // 2, border)
+    flat = padded.reshape(-1)
+    pitch = padded.shape[1] * channels
+    pos, neg = _split_taps(kernel.coefficients)
+    weight = float(kernel.coefficients.sum())
+    if weight <= 0.0:
+        weight = 1.0
     out = np.empty_like(arr)
-    _correlate_samples(padded, kernel.coefficients, out)
-    if normalize:
-        weight = float(kernel.coefficients.sum())
-        if weight <= 0.0:
-            weight = 1.0
-        out /= weight
+    # Result, scratch and acc share the strip budget; _strip_grid gives their
+    # layout. One pass moves each strip's result into out: the divide by the
+    # weight when normalizing, a copy otherwise.
+    strip = _strip_rows(padded, buffers=3)
+    result, scratch, acc = np.empty((3, min(strip, h) * pitch))
+    for y0 in range(0, h, strip):
+        rows = min(strip, h - y0)
+        size = (rows - 1) * pitch + w * channels
+        _stencil_strip(
+            flat, pos, neg, y0 * pitch, pitch, channels, result[:size], scratch[:size], acc[:size]
+        )
+        grid = _strip_grid(result, rows, pitch, w, channels)
+        if normalize:
+            np.divide(grid, weight, out=out[y0 : y0 + rows])
+        else:
+            np.copyto(out[y0 : y0 + rows], grid)
     return ImageBuffer._from_array(out)
 
 

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .detectors import FreiChenSubset, frei_chen, sobel_magnitude_rgb
-from .errors import EndOfStream, SizeError, _is_count
+from .errors import EndOfStream, SizeError, _is_count, _is_real
 from .image import ImageBuffer, PixelFormat, _check_dimensions, decode_bytes, to_luminance
 from .shadergen import ChainSpec, execute_chain_reference
 
@@ -176,19 +176,24 @@ def _process_frame(frame: ImageBuffer, work) -> ImageBuffer:
 
 @dataclass(frozen=True)
 class FrameStats:
-    """Measured phase times for one frame, in milliseconds."""
+    """Measured phase times for one frame, in milliseconds.
+
+    Raises:
+        ValueError: unless both times are real, finite and non-negative
+            numbers; a bool is rejected.
+    """
 
     acquisition_ms: float
     processing_ms: float
 
     def __post_init__(self) -> None:
         for ms in (self.acquisition_ms, self.processing_ms):
-            if not (math.isfinite(ms) and ms >= 0.0):
-                raise ValueError(f"frame timings must be finite and non-negative, got {ms}")
+            if not (_is_real(ms) and math.isfinite(ms) and ms >= 0.0):
+                raise ValueError(f"frame timings must be finite and non-negative, got {ms!r}")
 
 
 def _check_vsync(vsync_hz: float) -> None:
-    if isinstance(vsync_hz, bool) or not (vsync_hz > 0.0 and math.isfinite(vsync_hz)):
+    if not (_is_real(vsync_hz) and vsync_hz > 0.0 and math.isfinite(vsync_hz)):
         raise ValueError(f"vsync_hz must be positive and finite, got {vsync_hz}")
 
 
@@ -269,9 +274,9 @@ class RunReport:
         Raises:
             ValueError: if a key is missing, partial is not a bool, vsync_hz
                 or a frame timing is out of range, frame_count is not the
-                integer number of frames, or a stored aggregate differs from
-                its value derived from per_frame by more than 1e-9 relative
-                (1e-12 absolute).
+                integer number of frames, or a stored aggregate is not a
+                number (a bool is rejected) or differs from its value derived
+                from per_frame by more than 1e-9 relative (1e-12 absolute).
         """
         try:
             timings = [(f["acquisition_ms"], f["processing_ms"]) for f in data["per_frame"]]
@@ -286,7 +291,7 @@ class RunReport:
             raise ValueError(f"frame_count is {count!r}, per_frame gives {report.frame_count}")
         for name, value in stored.items():
             derived = getattr(report, name)
-            if not math.isclose(value, derived, rel_tol=1e-9, abs_tol=1e-12):
+            if not (_is_real(value) and math.isclose(value, derived, rel_tol=1e-9, abs_tol=1e-12)):
                 raise ValueError(f"{name} is {value}, per_frame gives {derived}")
         return report
 

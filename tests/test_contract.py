@@ -17,10 +17,12 @@ from kernelbench import (
     ChainPass,
     DetectorKind,
     FormatError,
+    FrameStats,
     ImageBuffer,
     PixelFormat,
     RawStreamSource,
     RunReport,
+    ScenarioReport,
     SizeError,
     SyntheticSource,
     decode_bytes,
@@ -37,6 +39,19 @@ def _raw_file(tmp_path, size=12):
 def _report_dict(**changes):
     data = run(SOURCE, SOBEL, frames=1).to_dict()
     data.update(changes)
+    return data
+
+
+def _one_ms_frame(**changes):
+    """A one-frame report whose acquisition and mean acquisition are both 1.0 ms."""
+    data = RunReport((FrameStats(1.0, 2.0),), 60.0).to_dict()
+    data.update(changes)
+    return data
+
+
+def _bool_acquisition():
+    data = _one_ms_frame()
+    data["per_frame"][0]["acquisition_ms"] = True
     return data
 
 
@@ -74,6 +89,14 @@ BAD_INPUTS = [
      lambda tmp: RunReport.from_dict(_report_dict(frame_count=True)), ValueError),
     ("from-dict-missing-key", lambda tmp: RunReport.from_dict(_without("fps_capped")),
      ValueError),
+    ("from-dict-timing-bool", lambda tmp: RunReport.from_dict(_bool_acquisition()), ValueError),
+    ("from-dict-aggregate-bool",
+     lambda tmp: RunReport.from_dict(_one_ms_frame(mean_acquisition_ms=True)), ValueError),
+    ("frame-stats-acquisition-bool", lambda tmp: FrameStats(True, 0.0), ValueError),
+    ("frame-stats-processing-bool", lambda tmp: FrameStats(0.0, False), ValueError),
+    ("frame-stats-string", lambda tmp: FrameStats("1.0", 0.0), ValueError),
+    ("scenario-from-dict-missing-key",
+     lambda tmp: ScenarioReport.from_dict({"schema_version": 1, "rows": []}), ValueError),
     ("run-vsync-bool", lambda tmp: run(SOURCE, SOBEL, frames=1, vsync_hz=True), ValueError),
     ("report-vsync-bool", lambda tmp: RunReport((), True), ValueError),
     # Pixel buffers.

@@ -120,12 +120,17 @@ def test_engine_matches_direct_summation_over_repeated_magnitudes():
                     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def _accumulate_multiply_every_tap(padded, taps, y0, y1, w, dest, scratch):
+def _accumulate_multiply_every_tap(flat, taps, base, pitch, channels, dest, scratch):
     """The accumulator as it was before unit taps skipped the multiply."""
+
+    def view(dy, dx):
+        start = base + dy * pitch + dx * channels
+        return flat[start : start + dest.size]
+
     dy, dx, weight = taps[0]
-    np.multiply(padded[y0 + dy : y1 + dy, dx : dx + w], weight, out=dest)
+    np.multiply(view(dy, dx), weight, out=dest)
     for dy, dx, weight in taps[1:]:
-        np.multiply(padded[y0 + dy : y1 + dy, dx : dx + w], weight, out=scratch)
+        np.multiply(view(dy, dx), weight, out=scratch)
         dest += scratch
 
 
@@ -163,6 +168,75 @@ def test_unit_taps_are_bit_identical_to_multiplying(monkeypatch):
             _assert_matches_multiply_every_tap(
                 monkeypatch, lambda: correlate(image, Kernel(k), border, normalize)
             )
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _correlate_strided(arr, coefficients, border, normalize):
+    """correlate as it ran before strips took the padded pitch: each tap reads
+    a row-strided (h, w, c) view, with the same tap order and unit-weight rules."""
+    h, w = arr.shape[0], arr.shape[1]
+    padded = kernels.pad_samples(arr, coefficients.shape[0] // 2, border)
+
+    def accumulate(taps, dest):
+        views = [(padded[dy : dy + h, dx : dx + w], weight) for dy, dx, weight in taps]
+        (first, weight), rest = views[0], views[1:]
+        if weight != 1.0:
+            np.multiply(first, weight, out=dest)
+        elif rest and rest[0][1] == 1.0:
+            np.add(first, rest[0][0], out=dest)
+            rest = rest[1:]
+        else:
+            np.copyto(dest, first)
+        for view, weight in rest:
+            dest += view if weight == 1.0 else view * weight
+        return dest
+
+    pos, neg = kernels._split_taps(coefficients)
+    out = np.zeros(arr.shape)
+    if pos:
+        accumulate(pos, out)
+    if neg:
+        acc = accumulate(neg, np.empty(arr.shape))
+        if pos:
+            out -= acc
+        else:
+            np.negative(acc, out=out)
+    if normalize:
+        weight = float(coefficients.sum())
+        out /= weight if weight > 0.0 else 1.0
+    return out
+
+
+def test_pitch_layout_matches_strided_taps():
+    rng = np.random.default_rng(29)
+    specials = np.array([-0.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
+    kernels_5_7 = [
+        rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0, 1.0], size=(side, side)) for side in (5, 7)
+    ] + [rng.standard_normal((side, side)) for side in (5, 7)]
+    cases = []
+    # Widths 1-3 under 5x5 and 7x7 kernels, so taps run into the junk elements
+    # at the end of each buffer row, at heights of two full strips and a part.
+    for w, channels, k in itertools.product((1, 2, 3), (1, 3), kernels_5_7):
+        r = k.shape[0] // 2
+        strip = kernels._strip_rows(np.empty((1, w + 2 * r, channels)), buffers=3)
+        cases.append(((2 * strip + 3, w, channels), k))
+    cases += [((13, 2048, 3), SOBEL_GX.coefficients), ((240, 320, 3), np.ones((3, 3)))]
+    for shape, k in cases:
+        arr = rng.standard_normal(shape)
+        flat = arr.reshape(-1)
+        picks = rng.random(flat.size) < 0.2
+        flat[picks] = rng.choice(specials, size=int(picks.sum()))
+        for border, normalize in itertools.product(BorderPolicy, (False, True)):
+            padded = kernels.pad_samples(arr, k.shape[0] // 2, border)
+            assert kernels._strip_rows(padded, buffers=3) < shape[0]
+            got = correlate(ImageBuffer(arr), Kernel(k), border, normalize).samples
+            want = _correlate_strided(arr, k, border, normalize)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            # NaN bits may differ only where two NaNs meet: numpy's contiguous
+            # and strided loops return different operands of NaN + NaN.
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+
 
 def test_correlation_is_linear():
     rng = np.random.default_rng(23)

@@ -6,7 +6,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FormatError, RangeError
+from .errors import FormatError, RangeError, _is_real
 from .image import ImageBuffer, _ieee_arithmetic
 from .kernels import (
     FREI_CHEN,
@@ -24,6 +24,16 @@ FREI_CHEN_EPSILON = 1e-12
 
 # The positive and negative taps of each Frei-Chen mask, in basis order.
 _FREI_CHEN_TAPS = tuple(_split_taps(mask.coefficients) for mask in FREI_CHEN)
+
+# The distinct tap magnitudes of the nine masks. Each strip of the padded
+# frame is multiplied once by each of them, into one band per magnitude.
+_FREI_CHEN_MAGNITUDES = tuple(
+    sorted({weight for taps in _FREI_CHEN_TAPS for group in taps for _, _, weight in group})
+)
+
+# Strip buffers of the fused Frei-Chen loop, all counted against the strip
+# budget: the response, the negative-tap accumulator, M, S and the bands.
+_FREI_CHEN_BUFFERS = 4 + len(_FREI_CHEN_MAGNITUDES)
 
 
 class FreiChenSubset(Enum):
@@ -154,6 +164,24 @@ def _flat_windows(band: np.ndarray) -> np.ndarray:
     return flat
 
 
+def _frei_chen_plan(bands: np.ndarray, pitch: int, size: int):
+    """Per mask, the (view, 1.0) pairs of its positive and negative taps.
+
+    Band k holds the strip's padded samples times _FREI_CHEN_MAGNITUDES[k],
+    so the view of tap (dy, dx) of magnitude m, which starts dy rows and dx
+    pixels into m's band, holds the products that tap would multiply out.
+    Its weight of 1.0 makes _accumulate add it without a multiply.
+    """
+
+    def views(taps):
+        return [
+            (bands[_FREI_CHEN_MAGNITUDES.index(m)][dy * pitch + dx :][:size], 1.0)
+            for dy, dx, m in taps
+        ]
+
+    return [(views(pos), views(neg)) for pos, neg in _FREI_CHEN_TAPS]
+
+
 @_ieee_arithmetic
 def frei_chen(
     image: ImageBuffer,
@@ -164,13 +192,18 @@ def frei_chen(
 
     M sums the squared responses of the chosen subset, S those of all nine
     basis masks. The image is padded once, then one fused loop runs the nine
-    masks and the combine strip by strip over five strip buffers. Responses
-    are squared in place and summed in basis order into M and S; because the
-    subset terms are added in the same order in both, M never exceeds S even
-    in float arithmetic, so the output stays within [0, 1]. Pixels with S
-    below FREI_CHEN_EPSILON report 0, and so do pixels whose padded 3x3
-    window is finite and constant: rounding in G7 and G8, whose positive and
-    negative taps differ, would otherwise leave about 1e-16 there.
+    masks and the combine strip by strip. Per strip, the padded rows are
+    multiplied once by each distinct tap magnitude, one band per magnitude,
+    and every tap is then a plain add of a slice of its band; the products
+    and their order are those of multiplying tap by tap. Responses are
+    squared and summed in basis order into M and S; each sum starts at its
+    first square, and when the subset starts at G1, M is S as it stands after
+    the last chosen mask. Because the subset terms are added in the same
+    order in both, M never exceeds S even in float arithmetic, so the output
+    stays within [0, 1]. Pixels with S below FREI_CHEN_EPSILON report 0, and
+    so do pixels whose padded 3x3 window is finite and constant: rounding in
+    G7 and G8, whose positive and negative taps differ, would otherwise leave
+    about 1e-16 there.
 
     Raises:
         FormatError: if the image is not single-channel.
@@ -183,21 +216,42 @@ def frei_chen(
     flat = padded.reshape(-1)
     pitch = w + 2
     out = np.empty_like(arr)
-    strip = _strip_rows(padded, buffers=5)
-    buffers = np.empty((5, min(strip, h) * pitch))
-    chosen = subset.mask_indices
+    strip = _strip_rows(padded, buffers=_FREI_CHEN_BUFFERS)
+    n0 = min(strip, h)
+    buffers = np.empty((4, n0 * pitch))
+    bands = np.empty((len(_FREI_CHEN_MAGNITUDES), (n0 + 2) * pitch))
+    first, last = subset.mask_indices[0], subset.mask_indices[-1]
+    # The tap views are the same for every strip of one size: one plan for
+    # the full strips and one for a short last strip.
+    plans = {}
     for y0 in range(0, h, strip):
         rows = min(strip, h - y0)
-        response, scratch, acc, numerator, total = buffers[:, : (rows - 1) * pitch + w]
-        numerator.fill(0.0)
-        total.fill(0.0)
-        for index, (pos, neg) in enumerate(_FREI_CHEN_TAPS):
-            _stencil_strip(flat, pos, neg, y0 * pitch, pitch, 1, response, scratch, acc)
-            np.multiply(response, response, out=response)
-            total += response
-            if index in chosen:
-                numerator += response
-        numerator, total = (_strip_grid(b, rows, pitch, w, 1) for b in buffers[3:])
+        size = (rows - 1) * pitch + w
+        # The last tap, (2, 2), reads up to 2 * pitch + 2 samples past size;
+        # for the last strip the source ends exactly at flat's end.
+        source = flat[y0 * pitch :][: size + 2 * pitch + 2]
+        for band, magnitude in zip(bands, _FREI_CHEN_MAGNITUDES):
+            np.multiply(source, magnitude, out=band[: source.size])
+        if rows not in plans:
+            plans[rows] = _frei_chen_plan(bands, pitch, size)
+        response, acc, numerator, total = buffers[:, :size]
+        for index, (pos, neg) in enumerate(plans[rows]):
+            _stencil_strip(pos, neg, response, None, acc)
+            # Each sum starts at its first square: 0.0 + x is x for every x
+            # but -0.0, and no square is -0.0.
+            if index == 0:
+                np.multiply(response, response, out=total)
+            elif index == first:
+                np.multiply(response, response, out=numerator)
+                total += numerator
+            else:
+                np.multiply(response, response, out=response)
+                total += response
+                if 0 < first < index <= last:
+                    numerator += response
+            if index == last and first == 0:
+                np.copyto(numerator, total)
+        numerator, total = (_strip_grid(b, rows, pitch, w, 1) for b in buffers[2:])
         # Where S is 0, M is too, so the divide can give only 0 / 0 = NaN
         # there, which the guard replaces.
         np.divide(numerator, total, out=numerator)
@@ -215,11 +269,11 @@ def threshold(image: ImageBuffer, t: float) -> ImageBuffer:
     same or a mid value changes nothing.
 
     Raises:
-        RangeError: if t is outside [0, 1].
+        RangeError: if t is not a real number (a bool is not) within [0, 1].
         FormatError: if the image is not single-channel.
     """
     if image.channels != 1:
         raise FormatError("threshold requires a gray image")
-    if not 0.0 <= t <= 1.0:
-        raise RangeError(f"threshold must be within [0, 1], got {t}")
+    if not (_is_real(t) and 0.0 <= t <= 1.0):
+        raise RangeError(f"threshold must be a real number within [0, 1], got {t!r}")
     return ImageBuffer._from_array(np.where(image.samples > t, 1.0, 0.0))

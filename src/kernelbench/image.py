@@ -8,6 +8,7 @@ magnitudes, unnormalized kernel sums) pass through without saturation.
 from __future__ import annotations
 
 import os
+import stat
 import tempfile
 from enum import Enum
 
@@ -184,7 +185,9 @@ def read_pnm(path) -> ImageBuffer:
 
     Raises:
         UnsupportedFormat: for other magics or maxvals.
-        SizeError: if a dimension is below 1 or the pixel data is truncated.
+        SizeError: if a dimension is below 1 or the file holds less pixel
+            data than its header declares; both are checked before the data
+            is read.
     """
     with open(path, "rb") as f:
         magic = f.read(2)
@@ -204,7 +207,18 @@ def read_pnm(path) -> ImageBuffer:
             raise UnsupportedFormat(f"malformed PNM header in {path}") from exc
         if maxval != 255:
             raise UnsupportedFormat(f"maxval must be 255, got {maxval}")
-        body = f.read(width * height * fmt.channels)
+        # Checked before reading, as f.read allocates the declared size up
+        # front. Only a regular file tells how many bytes it has left, so a
+        # pipe skips the byte-count check.
+        _check_dimensions(width, height)
+        expected = width * height * fmt.channels
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode) and expected > st.st_size - f.tell():
+            raise SizeError(
+                f"{path} declares {expected} bytes of pixel data for {width}x{height} "
+                f"{fmt.name}, but holds {st.st_size - f.tell()}"
+            )
+        body = f.read(expected)
     return decode_bytes(body, width, height, fmt)
 
 

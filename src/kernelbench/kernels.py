@@ -138,20 +138,16 @@ def _split_taps(coefficients: np.ndarray):
     return pos, neg
 
 
-def _accumulate(flat, taps, base, pitch, channels, dest, scratch):
-    """dest = sum of weight * shifted slice over taps, for one row strip.
+def _accumulate(views, dest, scratch):
+    """dest = sum of weight * view over the (view, weight) pairs, in order.
 
-    flat is the padded sample array as one vector and dest a strip buffer laid
-    out on its row pitch (see _strip_grid), so tap (dy, dx) reads the
-    contiguous slice of flat that starts dy rows and dx pixels after base.
-
-    A tap whose stored weight is exactly 1.0 is added straight from its slice
-    instead of going through a multiply and the scratch array. This is
+    Each view is a contiguous 1-D slice the size of dest, laid out on the
+    padded row pitch (see _strip_grid). A tap whose weight is exactly 1.0 is
+    added straight from its slice instead of going through a multiply and the
+    scratch array, which may be None when every weight is 1.0. This is
     bit-identical to multiplying: x * 1.0 == x for every double, including
     -0.0, the infinities and NaN, and the taps are summed in the same order.
     """
-    starts = [(base + dy * pitch + dx * channels, weight) for dy, dx, weight in taps]
-    views = [(flat[start : start + dest.size], weight) for start, weight in starts]
     first, weight = views[0]
     rest = views[1:]
     if weight != 1.0:
@@ -169,16 +165,26 @@ def _accumulate(flat, taps, base, pitch, channels, dest, scratch):
             dest += scratch
 
 
-def _stencil_strip(flat, pos, neg, base, pitch, channels, out, scratch, acc):
-    """Correlate one row strip into out; the arguments are those of _accumulate."""
+def _tap_views(flat, taps, base, pitch, channels, size):
+    """The (view, weight) pair of each tap of one row strip.
+
+    flat is the padded sample array as one vector, so tap (dy, dx) reads the
+    contiguous slice of flat that starts dy rows and dx pixels after base.
+    """
+    starts = [(base + dy * pitch + dx * channels, weight) for dy, dx, weight in taps]
+    return [(flat[start : start + size], weight) for start, weight in starts]
+
+
+def _stencil_strip(pos, neg, out, scratch, acc):
+    """Correlate one row strip into out from the (view, weight) pairs of each sign group."""
     if pos and neg:
-        _accumulate(flat, pos, base, pitch, channels, out, scratch)
-        _accumulate(flat, neg, base, pitch, channels, acc, scratch)
+        _accumulate(pos, out, scratch)
+        _accumulate(neg, acc, scratch)
         out -= acc
     elif pos:
-        _accumulate(flat, pos, base, pitch, channels, out, scratch)
+        _accumulate(pos, out, scratch)
     elif neg:
-        _accumulate(flat, neg, base, pitch, channels, out, scratch)
+        _accumulate(neg, out, scratch)
         np.negative(out, out=out)
     else:
         out[:] = 0.0
@@ -241,9 +247,8 @@ def correlate(
     for y0 in range(0, h, strip):
         rows = min(strip, h - y0)
         size = (rows - 1) * pitch + w * channels
-        _stencil_strip(
-            flat, pos, neg, y0 * pitch, pitch, channels, result[:size], scratch[:size], acc[:size]
-        )
+        views = (_tap_views(flat, taps, y0 * pitch, pitch, channels, size) for taps in (pos, neg))
+        _stencil_strip(*views, result[:size], scratch[:size], acc[:size])
         grid = _strip_grid(result, rows, pitch, w, channels)
         if normalize:
             np.divide(grid, weight, out=out[y0 : y0 + rows])

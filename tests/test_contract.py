@@ -20,19 +20,28 @@ from kernelbench import (
     FrameStats,
     ImageBuffer,
     PixelFormat,
+    RangeError,
     RawStreamSource,
     RunReport,
     ScenarioReport,
     SizeError,
     SyntheticSource,
     decode_bytes,
+    read_pnm,
     run,
+    threshold,
 )
 
 
 def _raw_file(tmp_path, size=12):
     path = tmp_path / "clip.rgb"
     path.write_bytes(bytes(size))
+    return str(path)
+
+
+def _pnm_file(tmp_path, content):
+    path = tmp_path / "image.pgm"
+    path.write_bytes(content)
     return str(path)
 
 
@@ -64,6 +73,7 @@ def _without(key):
 SOURCE = SyntheticSource(4, 3)
 SOBEL = DetectorKind.SOBEL
 GRAY8 = PixelFormat.GRAY8
+GRAY = ImageBuffer(np.zeros((2, 2, 1)))
 
 # (id, call taking pytest's tmp_path, error)
 BAD_INPUTS = [
@@ -99,6 +109,17 @@ BAD_INPUTS = [
      lambda tmp: ScenarioReport.from_dict({"schema_version": 1, "rows": []}), ValueError),
     ("run-vsync-bool", lambda tmp: run(SOURCE, SOBEL, frames=1, vsync_hz=True), ValueError),
     ("report-vsync-bool", lambda tmp: RunReport((), True), ValueError),
+    # PNM headers, checked before the pixel data is read.
+    ("pnm-huge-dimensions",
+     lambda tmp: read_pnm(_pnm_file(tmp, b"P5\n10000000000 10000000000\n255\n" + bytes(4))),
+     SizeError),
+    ("pnm-negative-width", lambda tmp: read_pnm(_pnm_file(tmp, b"P5\n-3 2\n255\n" + bytes(6))),
+     SizeError),
+    ("pnm-declares-more-than-the-file",
+     lambda tmp: read_pnm(_pnm_file(tmp, b"P5\n4000 4000\n255\n" + bytes(20))), SizeError),
+    # Thresholds follow the number rule of timings and rates.
+    ("threshold-bool", lambda tmp: threshold(GRAY, True), RangeError),
+    ("threshold-string", lambda tmp: threshold(GRAY, "0.5"), RangeError),
     # Pixel buffers.
     ("image-complex", lambda tmp: ImageBuffer(np.array([[1 + 1j]])), FormatError),
     ("image-complex-list", lambda tmp: ImageBuffer([[0.5, 1j]]), FormatError),

@@ -245,16 +245,21 @@ def test_frei_chen_flat_rule_needs_a_finite_window():
         assert np.all(out[~near] == 0.0)
 
 
+def _frei_chen_strip_rows(w):
+    """Rows per strip of frei_chen on a w-wide image, whose padded rows are w + 2 wide."""
+    return kernels._strip_rows(np.empty((1, w + 2, 1)), buffers=detectors._FREI_CHEN_BUFFERS)
+
+
 def test_frei_chen_flat_rule_holds_across_strips():
     rng = np.random.default_rng(38)
-    arr = rng.random((13, 2048, 1))
-    arr[6:, 100:300] = 0.7
-    strip = kernels._strip_rows(arr, buffers=5)
-    # The patch's flat rows, 7 to 12, straddle a strip boundary.
-    assert 7 < strip < 13
+    strip = _frei_chen_strip_rows(2048)
+    assert strip > 3
+    arr = rng.random((strip + 6, 2048, 1))
+    arr[strip - 4 :, 100:300] = 0.7
+    # The patch's flat rows, strip - 3 to the last, straddle a strip boundary.
     out = frei_chen(ImageBuffer(arr), FreiChenSubset.LINE).samples[:, :, 0]
     flat = _flat_windows(arr, BorderPolicy.CLAMP_TO_EDGE)
-    assert flat[7:, 101:299].all() and flat.sum() == 6 * 198
+    assert flat[strip - 3 :, 101:299].all() and flat.sum() == 9 * 198
     assert np.all(out[flat] == 0.0)
     assert np.all(out[~flat] > 0.0)
 
@@ -280,10 +285,16 @@ def _frei_chen_frame_sized(arr, subset, border):
 def test_fused_frei_chen_is_bit_identical_to_the_frame_sized_combine():
     rng = np.random.default_rng(39)
     specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
-    wide = (13, 2048)
-    # The wide image must span several strips of the fused loop.
-    assert kernels._strip_rows(np.empty(wide + (1,)), buffers=5) < wide[0]
-    shapes = [(1, 1), (1, 9), (9, 1), wide]
+    # Widths 1-3, where most of each buffer row is junk past the last output
+    # pixel, and a wide image, each over two full strips and a short last
+    # one: both tap plans run, and the last strip's bands end at the frame's
+    # last padded sample.
+    shapes = []
+    for w in (1, 2, 3, 2048):
+        strip = _frei_chen_strip_rows(w)
+        assert strip > 3
+        shapes.append((2 * strip + 3, w))
+    shapes += [(1, 1), (1, 9), (9, 1)]
     shapes += [tuple(int(n) for n in rng.integers(1, 40, size=2)) for _ in range(8)]
     for (h, w), with_specials in itertools.product(shapes, (False, True)):
         # Random samples with a flat patch, so the flat rule has pixels to act on.
@@ -297,9 +308,13 @@ def test_fused_frei_chen_is_bit_identical_to_the_frame_sized_combine():
             got = frei_chen(ImageBuffer(arr), subset, border).samples
             want = _frei_chen_frame_sized(arr, subset, border)
             flat = _flat_windows(arr, border)
-            # tobytes compares NaN payloads and the sign of zero as well.
-            assert got[~flat].tobytes() == want[~flat].tobytes()
             assert np.all(got[flat] == 0.0)
+            got, want = got[~flat], want[~flat]
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            # tobytes compares the sign of zero as well. NaN bits may differ
+            # where two NaNs meet: numpy's add loops return different operands.
+            assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def test_detectors_agree_with_the_independent_references():

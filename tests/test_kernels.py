@@ -120,17 +120,12 @@ def test_engine_matches_direct_summation_over_repeated_magnitudes():
                     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def _accumulate_multiply_every_tap(flat, taps, base, pitch, channels, dest, scratch):
+def _accumulate_multiply_every_tap(views, dest, scratch):
     """The accumulator as it was before unit taps skipped the multiply."""
-
-    def view(dy, dx):
-        start = base + dy * pitch + dx * channels
-        return flat[start : start + dest.size]
-
-    dy, dx, weight = taps[0]
-    np.multiply(view(dy, dx), weight, out=dest)
-    for dy, dx, weight in taps[1:]:
-        np.multiply(view(dy, dx), weight, out=scratch)
+    first, weight = views[0]
+    np.multiply(first, weight, out=dest)
+    for view, weight in views[1:]:
+        np.multiply(view, weight, out=scratch)
         dest += scratch
 
 

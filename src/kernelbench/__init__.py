@@ -1,8 +1,9 @@
 """Kernel-convolution image engine, GLSL-ES codegen, and benchmark harness."""
 
+from types import ModuleType as _ModuleType
+
 from .bench import (
     DEFAULT_FRAMES,
-    DEFAULT_VSYNC_HZ,
     OPERATOR_COUNTS,
     RESOLUTIONS,
     SMOOTHING_KERNEL,
@@ -51,6 +52,7 @@ from .kernels import (
     parse_kernel,
 )
 from .pipeline import (
+    DEFAULT_VSYNC_HZ,
     DetectorKind,
     FramePattern,
     FrameSource,
@@ -78,66 +80,8 @@ from .shadergen import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BorderPolicy",
-    "ChainPass",
-    "ChainSpec",
-    "DEFAULT_FRAMES",
-    "DEFAULT_VSYNC_HZ",
-    "DetectorKind",
-    "EmptyChain",
-    "EndOfStream",
-    "FormatError",
-    "FramePattern",
-    "FrameSource",
-    "FrameStats",
-    "FreiChenSubset",
-    "FREI_CHEN",
-    "FREI_CHEN_EPSILON",
-    "GeneratedProgram",
-    "ImageBuffer",
-    "Kernel",
-    "KernelBenchError",
-    "OPERATOR_COUNTS",
-    "PixelFormat",
-    "RangeError",
-    "RawStreamSource",
-    "RESOLUTIONS",
-    "RunReport",
-    "Scenario",
-    "ScenarioReport",
-    "ScenarioRow",
-    "SizeError",
-    "SMOOTHING_KERNEL",
-    "SOBEL_GX",
-    "SOBEL_GY",
-    "SyntheticSource",
-    "UniformBinding",
-    "UnsupportedFormat",
-    "UnsupportedKernel",
-    "WARMUP_FRAMES",
-    "clock_resolution_ms",
-    "compose",
-    "correlate",
-    "decode_bytes",
-    "elapsed_ms",
-    "encode_bytes",
-    "execute_chain_reference",
-    "frei_chen",
-    "generate_fragment_shader",
-    "generate_program",
-    "generate_vertex_shader",
-    "next_frame",
-    "now",
-    "parse_kernel",
-    "read_pnm",
-    "run",
-    "scenario_operators",
-    "scenario_resolutions",
-    "sobel_magnitude",
-    "sobel_magnitude_rgb",
-    "threshold",
-    "to_luminance",
-    "write_pnm",
-    "write_program",
-]
+# Every public name imported above; the submodules themselves stay out.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

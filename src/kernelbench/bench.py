@@ -16,14 +16,13 @@ from typing import ClassVar
 import numpy as np
 
 from .kernels import Kernel
-from .pipeline import DetectorKind, FramePattern, RunReport, SyntheticSource, run
+from .pipeline import DEFAULT_VSYNC_HZ, DetectorKind, FramePattern, RunReport, SyntheticSource, run
 from .shadergen import ChainPass, ChainSpec
 
 RESOLUTIONS = ((320, 240), (640, 480), (1280, 720), (1920, 1080))
 OPERATOR_COUNTS = (2, 10, 20, 50, 100, 500)
 WARMUP_FRAMES = 5
 DEFAULT_FRAMES = 120
-DEFAULT_VSYNC_HZ = 60.0
 SCHEMA_VERSION = 1
 
 # The operator sweep's fixed workload: a 3x3 box smoother, applied normalized.

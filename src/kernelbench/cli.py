@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from .bench import (
     DEFAULT_FRAMES,
-    DEFAULT_VSYNC_HZ,
+    Scenario,
     ScenarioReport,
     scenario_operators,
     scenario_resolutions,
@@ -27,24 +26,21 @@ from .detectors import (
     sobel_magnitude_rgb,
     threshold,
 )
-from .errors import KernelBenchError, RangeError
+from .errors import KernelBenchError
 from .image import atomic_write_bytes, read_pnm, to_luminance, write_pnm
 from .kernels import BorderPolicy, correlate, parse_kernel
-from .pipeline import DetectorKind, RawStreamSource, run
+from .pipeline import DEFAULT_VSYNC_HZ, DetectorKind, RawStreamSource, _check_vsync, run
 from .shadergen import ChainPass, ChainSpec, generate_program, write_program
 
 
 def _default_vsync() -> float:
     """Resolve the vsync default, honoring the KERNELBENCH_VSYNC override."""
-    raw = os.environ.get("KERNELBENCH_VSYNC")
-    if raw is None:
-        return DEFAULT_VSYNC_HZ
+    raw = os.environ.get("KERNELBENCH_VSYNC", DEFAULT_VSYNC_HZ)
     try:
         value = float(raw)
-    except ValueError:
-        raise RangeError(f"KERNELBENCH_VSYNC must be a number, got {raw!r}") from None
-    if not (value > 0.0 and math.isfinite(value)):
-        raise RangeError(f"KERNELBENCH_VSYNC must be positive and finite, got {raw!r}")
+        _check_vsync(value)
+    except ValueError as exc:
+        raise ValueError(f"KERNELBENCH_VSYNC is {raw!r}: {exc}") from None
     return value
 
 
@@ -93,7 +89,8 @@ def _cmd_bench(args) -> int:
             raise FileNotFoundError(f"--json directory {directory} does not exist")
         if os.path.isdir(args.json):
             raise IsADirectoryError(f"--json path {args.json} is a directory")
-    scenario = scenario_resolutions if args.scenario == "resolutions" else scenario_operators
+    resolutions = Scenario(args.scenario) is Scenario.RESOLUTION_SWEEP
+    scenario = scenario_resolutions if resolutions else scenario_operators
     report = scenario(args.frames, vsync)
     _print_scenario(report)
     if args.json is not None:
@@ -144,7 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
         help='side then row-major coefficients, e.g. "3 0 1 0 0 0 1 0 0 0"',
     )
     convolve.add_argument("--normalize", action="store_true")
-    convolve.add_argument("--border", choices=["clamp", "zero"], default="clamp")
+    convolve.add_argument(
+        "--border", choices=[b.value for b in BorderPolicy], default=BorderPolicy.CLAMP_TO_EDGE.value
+    )
     convolve.set_defaults(func=_cmd_convolve)
 
     sobel = sub.add_parser("sobel", help="Sobel gradient magnitude")
@@ -156,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     freichen = sub.add_parser("freichen", help="Frei-Chen edge measure")
     freichen.add_argument("--in", dest="input", required=True, metavar="PNM")
     freichen.add_argument("--out", dest="output", required=True, metavar="PNM")
-    freichen.add_argument("--subset", required=True, choices=["edge", "line", "both"])
+    freichen.add_argument("--subset", required=True, choices=[s.value for s in FreiChenSubset])
     freichen.add_argument("--threshold", type=float, default=None, metavar="T")
     freichen.set_defaults(func=_cmd_freichen)
 
@@ -168,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_gen_shader)
 
     bench = sub.add_parser("bench", help="run a benchmark scenario")
-    bench.add_argument("scenario", choices=["resolutions", "operators"])
+    bench.add_argument("scenario", choices=[s.value for s in Scenario])
     bench.add_argument("--frames", type=int, default=DEFAULT_FRAMES, metavar="N")
     bench.add_argument("--vsync", type=float, default=None, metavar="HZ")
     bench.add_argument("--json", default=None, metavar="PATH")
@@ -178,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--raw", required=True, metavar="FILE")
     pipeline.add_argument("--width", type=int, required=True, metavar="W")
     pipeline.add_argument("--height", type=int, required=True, metavar="H")
-    pipeline.add_argument("--op", required=True, choices=["sobel", "freichen"])
+    pipeline.add_argument("--op", required=True, choices=[k.value for k in DetectorKind])
     pipeline.add_argument("--frames", type=int, required=True, metavar="N")
     pipeline.set_defaults(func=_cmd_pipeline)
 

@@ -119,9 +119,9 @@ def sobel_magnitude(
 ) -> ImageBuffer:
     """Gradient magnitude sqrt(gx^2 + gy^2) of a gray image; unclamped.
 
-    A constant image yields exactly zero everywhere: both Sobel masks carry
-    the same positive and negative coefficient magnitudes, and the engine
-    accumulates the two signs separately before subtracting.
+    A constant image yields exactly zero everywhere: gx is s[y+1] - s[y-1]
+    for the [1 2 1] row sums s, and gy the same for column sums; on constant
+    input both subtract two sums of equal samples added in the same order.
 
     Raises:
         FormatError: if the image is not single-channel.

@@ -56,8 +56,7 @@ class ImageBuffer:
             raise FormatError(f"expected a 2-D or 3-D sample array, got {arr.ndim}-D")
         if arr.shape[2] not in (1, 3):
             raise FormatError(f"channels must be 1 or 3, got {arr.shape[2]}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise SizeError(f"dimensions must be at least 1x1, got {arr.shape[1]}x{arr.shape[0]}")
+        _check_dimensions(arr.shape[1], arr.shape[0])
         arr.setflags(write=False)
         self._samples = arr
 
@@ -158,6 +157,9 @@ def to_luminance(image: ImageBuffer) -> ImageBuffer:
     return ImageBuffer._from_array(gray.reshape(gray.shape + (1,)))
 
 
+_PNM_FORMATS = {b"P5": PixelFormat.GRAY8, b"P6": PixelFormat.RGB24}
+
+
 def _read_header_token(f) -> bytes:
     """Read one whitespace-delimited header token, skipping '#' comments.
 
@@ -186,19 +188,17 @@ def read_pnm(path) -> ImageBuffer:
     Raises:
         UnsupportedFormat: for other magics or maxvals.
         SizeError: if a dimension is below 1 or the file holds less pixel
-            data than its header declares; both are checked before the data
-            is read.
+            data than its header declares. For a regular file both are
+            checked before the data is read; a pipe is read in bounded
+            chunks until it ends short.
     """
     with open(path, "rb") as f:
         magic = f.read(2)
-        if magic == b"P5":
-            fmt = PixelFormat.GRAY8
-        elif magic == b"P6":
-            fmt = PixelFormat.RGB24
-        else:
+        if magic not in _PNM_FORMATS:
             raise UnsupportedFormat(
                 f"unsupported magic {magic!r}; only binary P5/P6 are readable"
             )
+        fmt = _PNM_FORMATS[magic]
         try:
             width = int(_read_header_token(f))
             height = int(_read_header_token(f))
@@ -207,9 +207,10 @@ def read_pnm(path) -> ImageBuffer:
             raise UnsupportedFormat(f"malformed PNM header in {path}") from exc
         if maxval != 255:
             raise UnsupportedFormat(f"maxval must be 255, got {maxval}")
-        # Checked before reading, as f.read allocates the declared size up
-        # front. Only a regular file tells how many bytes it has left, so a
-        # pipe skips the byte-count check.
+        # Checked before reading. Only a regular file tells how many bytes it
+        # has left, so the body is read in bounded chunks: a pipe that ends
+        # short allocates no more than it delivers, and decode_bytes rejects
+        # the short body. The chunks are dropped once joined, before decoding.
         _check_dimensions(width, height)
         expected = width * height * fmt.channels
         st = os.fstat(f.fileno())
@@ -218,7 +219,12 @@ def read_pnm(path) -> ImageBuffer:
                 f"{path} declares {expected} bytes of pixel data for {width}x{height} "
                 f"{fmt.name}, but holds {st.st_size - f.tell()}"
             )
-        body = f.read(expected)
+        chunks, left = [], expected
+        while left and (chunk := f.read(min(left, 1 << 20))):
+            chunks.append(chunk)
+            left -= len(chunk)
+        body = b"".join(chunks)
+        del chunks, chunk
     return decode_bytes(body, width, height, fmt)
 
 
@@ -228,10 +234,8 @@ def write_pnm(image: ImageBuffer, path) -> None:
     The file appears atomically: content goes to a temp file in the target
     directory first, then replaces the destination.
     """
-    if image.channels == 1:
-        magic, fmt = b"P5", PixelFormat.GRAY8
-    else:
-        magic, fmt = b"P6", PixelFormat.RGB24
+    magic = b"P5" if image.channels == 1 else b"P6"
+    fmt = _PNM_FORMATS[magic]
     header = magic + f"\n{image.width} {image.height}\n255\n".encode("ascii")
     atomic_write_bytes(path, header + encode_bytes(image, fmt))
 

@@ -69,8 +69,8 @@ def parse_kernel(text: str) -> Kernel:
         side = int(parts[0])
     except ValueError:
         raise ValueError(f"kernel spec must start with the side length, got {parts[0]!r}")
-    if side < 1 or side % 2 == 0:
-        raise ValueError(f"kernel side must be a positive odd integer, got {side}")
+    if side < 1:
+        raise ValueError(f"kernel side must be a positive integer, got {side}")
     try:
         values = [float(p) for p in parts[1:]]
     except ValueError as exc:

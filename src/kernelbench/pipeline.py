@@ -13,7 +13,7 @@ import math
 import os
 import statistics
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -22,6 +22,9 @@ from .detectors import FreiChenSubset, frei_chen, sobel_magnitude_rgb
 from .errors import EndOfStream, SizeError, _is_count, _is_real
 from .image import ImageBuffer, PixelFormat, _check_dimensions, decode_bytes, to_luminance
 from .shadergen import ChainSpec, execute_chain_reference
+
+DEFAULT_VSYNC_HZ = 60.0
+_CLOCK_SAMPLES = 1000
 
 
 def now() -> int:
@@ -39,9 +42,9 @@ def elapsed_ms(start: int, end: int) -> float:
     return (end - start) / 1e6
 
 
-def clock_resolution_ms(samples: int = 1000) -> float:
+def clock_resolution_ms() -> float:
     """Median of the positive deltas between consecutive now() readings."""
-    readings = [now() for _ in range(samples + 1)]
+    readings = [now() for _ in range(_CLOCK_SAMPLES + 1)]
     deltas = [b - a for a, b in zip(readings, readings[1:]) if b > a]
     if not deltas:
         return 0.0
@@ -253,16 +256,8 @@ class RunReport:
         """Plain-data form for JSON serialization; from_dict inverts it."""
         return {
             "frame_count": self.frame_count,
-            "per_frame": [
-                {"acquisition_ms": f.acquisition_ms, "processing_ms": f.processing_ms}
-                for f in self.per_frame
-            ],
-            "mean_acquisition_ms": self.mean_acquisition_ms,
-            "mean_processing_ms": self.mean_processing_ms,
-            "p50_processing_ms": self.p50_processing_ms,
-            "p95_processing_ms": self.p95_processing_ms,
-            "fps_uncapped": self.fps_uncapped,
-            "fps_capped": self.fps_capped,
+            "per_frame": [asdict(f) for f in self.per_frame],
+            **{name: getattr(self, name) for name in _DERIVED if name != "frame_count"},
             "vsync_hz": self.vsync_hz,
             "partial": self.partial,
         }
@@ -304,7 +299,7 @@ def run(
     source: FrameSource,
     work,
     frames: int,
-    vsync_hz: float = 60.0,
+    vsync_hz: float = DEFAULT_VSYNC_HZ,
     warmup: int = 0,
 ) -> RunReport:
     """Process `frames` frames, timing acquisition and processing separately.

@@ -3,7 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from kernelbench import ImageBuffer, PixelFormat, decode_bytes, read_pnm, write_pnm
+from kernelbench import (
+    BorderPolicy,
+    DetectorKind,
+    FreiChenSubset,
+    ImageBuffer,
+    PixelFormat,
+    Scenario,
+    decode_bytes,
+    read_pnm,
+    write_pnm,
+)
 from kernelbench.cli import main
 
 
@@ -17,12 +27,14 @@ def test_convolve_identity_preserves_bytes(tmp_path):
     dst = tmp_path / "out.pgm"
     buf = decode_bytes(bytes(rng.integers(0, 256, 30, dtype=np.uint8)), 6, 5, PixelFormat.GRAY8)
     write_pnm(buf, src)
-    code = main([
-        "convolve", "--in", str(src), "--out", str(dst),
-        "--kernel", "3 0 0 0 0 1 0 0 0 0",
-    ])
-    assert code == 0
-    assert dst.read_bytes() == src.read_bytes()
+    # No flag checks the default; each enum value checks its choice.
+    for extra in [[]] + [["--border", b.value] for b in BorderPolicy]:
+        code = main([
+            "convolve", "--in", str(src), "--out", str(dst),
+            "--kernel", "3 0 0 0 0 1 0 0 0 0", *extra,
+        ])
+        assert code == 0
+        assert dst.read_bytes() == src.read_bytes()
 
 
 def test_convolve_zero_border_flag(tmp_path):
@@ -73,9 +85,10 @@ def test_freichen_subset_flag(tmp_path):
     rng = np.random.default_rng(63)
     src = tmp_path / "in.ppm"
     write_pnm(ImageBuffer(rng.random((6, 6, 3))), src)
-    for subset in ("edge", "line", "both"):
-        dst = tmp_path / f"{subset}.pgm"
-        assert main(["freichen", "--in", str(src), "--out", str(dst), "--subset", subset]) == 0
+    for subset in FreiChenSubset:
+        dst = tmp_path / f"{subset.value}.pgm"
+        args = ["freichen", "--in", str(src), "--out", str(dst), "--subset", subset.value]
+        assert main(args) == 0
         assert dst.exists()
 
 
@@ -117,6 +130,17 @@ def test_bench_resolutions_writes_schema_valid_json(tmp_path):
     assert data["rows"][0]["label"] == "320x240"
 
 
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_bench_accepts_every_scenario(tmp_path, monkeypatch, capsys, scenario):
+    import kernelbench.pipeline
+
+    monkeypatch.setattr(kernelbench.pipeline, "_process_frame", lambda frame, work: frame)
+    out = tmp_path / "report.json"
+    assert main(["bench", scenario.value, "--frames", "1", "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["scenario"] == scenario.value
+
+
 def test_bench_vsync_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("KERNELBENCH_VSYNC", "30")
     out = tmp_path / "report.json"
@@ -140,7 +164,7 @@ def test_bench_rejects_bad_vsync_env(monkeypatch, capsys):
     assert "KERNELBENCH_VSYNC" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
 def test_rejects_non_finite_vsync_env(tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("KERNELBENCH_VSYNC", value)
     raw = tmp_path / "clip.rgb"
@@ -211,14 +235,15 @@ def test_pipeline_reports_runreport_json(tmp_path, capsys):
     rng = np.random.default_rng(64)
     raw = tmp_path / "clip.rgb"
     raw.write_bytes(bytes(rng.integers(0, 256, 2 * 8 * 6 * 3, dtype=np.uint8)))
-    code = main([
-        "pipeline", "--raw", str(raw), "--width", "8", "--height", "6",
-        "--op", "sobel", "--frames", "2",
-    ])
-    assert code == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["frame_count"] == 2
-    assert data["partial"] is False
+    for kind in DetectorKind:
+        code = main([
+            "pipeline", "--raw", str(raw), "--width", "8", "--height", "6",
+            "--op", kind.value, "--frames", "2",
+        ])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["frame_count"] == 2
+        assert data["partial"] is False
 
 
 def test_pipeline_flags_partial_stream(tmp_path, capsys):
@@ -239,6 +264,7 @@ def test_usage_errors_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["sobel", "--bogus"]) == 2
     assert main(["convolve", "--in", "a", "--out", "b", "--kernel", "3 1 2"]) == 2
+    assert main(["convolve", "--in", "a", "--out", "b", "--kernel", "2 1 1 1 1"]) == 2
     nan_kernel = "3 0 0 0 0 1 0 0 0 nan"
     assert main(["convolve", "--in", "a", "--out", "b", "--kernel", nan_kernel]) == 2
     assert main(["gen-shader", "--kernel", "3 0 0 0 0 inf 0 0 0 0", "--out", "s"]) == 2

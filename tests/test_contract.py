@@ -7,6 +7,8 @@ still take, such as numpy integers for counts. Add a row here for a new case
 instead of a one-off test.
 """
 
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -30,6 +32,7 @@ from kernelbench import (
     read_pnm,
     run,
     threshold,
+    write_pnm,
 )
 
 
@@ -42,6 +45,19 @@ def _raw_file(tmp_path, size=12):
 def _pnm_file(tmp_path, content):
     path = tmp_path / "image.pgm"
     path.write_bytes(content)
+    return str(path)
+
+
+def _pnm_pipe(tmp_path, content):
+    """A FIFO that a writer thread fills with content and closes, like a shell pipe."""
+    path = tmp_path / "image.pgm"
+    os.mkfifo(path)
+
+    def write():
+        with open(path, "wb") as f:
+            f.write(content)
+
+    threading.Thread(target=write, daemon=True).start()
     return str(path)
 
 
@@ -117,6 +133,10 @@ BAD_INPUTS = [
      SizeError),
     ("pnm-declares-more-than-the-file",
      lambda tmp: read_pnm(_pnm_file(tmp, b"P5\n4000 4000\n255\n" + bytes(20))), SizeError),
+    # A pipe has no size to check first; it is read in bounded chunks until it ends.
+    ("pnm-pipe-huge-dimensions",
+     lambda tmp: read_pnm(_pnm_pipe(tmp, b"P5\n10000000000 10000000000\n255\n" + bytes(4))),
+     SizeError),
     # Thresholds follow the number rule of timings and rates.
     ("threshold-bool", lambda tmp: threshold(GRAY, True), RangeError),
     ("threshold-string", lambda tmp: threshold(GRAY, "0.5"), RangeError),
@@ -147,3 +167,12 @@ def test_good_inputs_are_accepted(call, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         call(tmp_path)
+
+
+def test_a_pipe_longer_than_one_read_chunk_reads_like_the_file(tmp_path):
+    path = tmp_path / "image.ppm"
+    write_pnm(ImageBuffer(np.random.default_rng(66).random((600, 700, 3))), path)
+    content = path.read_bytes()
+    assert len(content) > 1 << 20
+    piped = read_pnm(_pnm_pipe(tmp_path, content))
+    assert piped.samples.tobytes() == read_pnm(path).samples.tobytes()

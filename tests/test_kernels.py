@@ -345,6 +345,8 @@ def test_parse_kernel_rejects_bad_specs():
     for text in (
         "",
         "2 1 1 1 1",
+        "0",
+        "-1 5",
         "3 1 2 3",
         "3 a b c d e f g h i",
         "x 1",

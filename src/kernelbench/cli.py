@@ -8,6 +8,7 @@ are written atomically, so a failing invocation never leaves partial files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -42,6 +43,18 @@ def _default_vsync() -> float:
     except ValueError as exc:
         raise ValueError(f"KERNELBENCH_VSYNC is {raw!r}: {exc}") from None
     return value
+
+
+def _kernel_arg(text: str):
+    """Parse --kernel; parse_kernel's reason becomes the usage error's text.
+
+    parse_kernel is looked up on each call, so the cached parser holds no
+    library function, and a wrapper set on this module's name sees every call.
+    """
+    try:
+        return parse_kernel(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _cmd_convolve(args) -> int:
@@ -137,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     convolve.add_argument(
         "--kernel",
         required=True,
-        type=parse_kernel,
+        type=_kernel_arg,
         help='side then row-major coefficients, e.g. "3 0 1 0 0 0 1 0 0 0"',
     )
     convolve.add_argument("--normalize", action="store_true")
@@ -160,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     freichen.set_defaults(func=_cmd_freichen)
 
     gen = sub.add_parser("gen-shader", help="emit GLSL sources for a kernel pass")
-    gen.add_argument("--kernel", required=True, type=parse_kernel)
+    gen.add_argument("--kernel", required=True, type=_kernel_arg)
     gen.add_argument("--normalize", action="store_true")
     gen.add_argument("--repeat", type=int, default=1, metavar="N")
     gen.add_argument("--out", dest="stem", required=True, metavar="STEM")
@@ -184,10 +197,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by the first main call and reused by every later one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

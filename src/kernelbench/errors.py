@@ -26,7 +26,7 @@ class FormatError(KernelBenchError):
 
 
 class UnsupportedFormat(KernelBenchError):
-    """An image file uses a format this package does not read."""
+    """An input file uses a format, or is a kind of file, this package does not read."""
 
 
 class RangeError(KernelBenchError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import statistics
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -19,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .detectors import FreiChenSubset, frei_chen, sobel_magnitude_rgb
-from .errors import EndOfStream, SizeError, _is_count, _is_real
+from .errors import EndOfStream, SizeError, UnsupportedFormat, _is_count, _is_real
 from .image import ImageBuffer, PixelFormat, _check_dimensions, decode_bytes, to_luminance
 from .shadergen import ChainSpec, execute_chain_reference
 
@@ -87,7 +88,8 @@ class RawStreamSource:
     """Headerless file of concatenated RGB24 frames, row-major from top-left.
 
     Dimensions come from the caller; the file length must be a positive
-    multiple of width*height*3.
+    multiple of width*height*3. Frames are read by seeking, so the file must
+    be a regular file, not a pipe or a device.
     """
 
     path: str
@@ -96,7 +98,13 @@ class RawStreamSource:
 
     def __post_init__(self) -> None:
         _check_dimensions(self.width, self.height)
-        size = os.path.getsize(self.path)
+        info = os.stat(self.path)
+        if not stat.S_ISREG(info.st_mode):
+            raise UnsupportedFormat(
+                f"{self.path} is not a regular file; raw frames are read by seeking, "
+                "so a pipe or a device cannot be a raw source"
+            )
+        size = info.st_size
         if size == 0:
             raise SizeError(f"{self.path} is empty; it holds no frame")
         if size % self.frame_size != 0:

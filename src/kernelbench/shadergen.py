@@ -157,7 +157,7 @@ def generate_fragment_shader(chain_pass: ChainPass) -> str:
         "    vec4 color = vec4(0.0, 0.0, 0.0, 1.0);",
         "    vec4 colorSum;",
     ]
-    blocks = "".join(_stencil_block(chain_pass.normalize) for _ in range(chain_pass.repeat))
+    blocks = _stencil_block(chain_pass.normalize) * chain_pass.repeat
     tail = [
         "    gl_FragColor = vec4(color.rgb, 1.0);",
         "}",

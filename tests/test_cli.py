@@ -1,4 +1,6 @@
+import argparse
 import json
+import os
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from kernelbench import (
     read_pnm,
     write_pnm,
 )
-from kernelbench.cli import main
+from kernelbench.cli import build_parser, main
 
 
 def _write_pgm(path, arr):
@@ -231,6 +233,20 @@ def test_pipeline_rejects_empty_raw_file(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_pipeline_rejects_a_raw_source_that_is_not_a_regular_file(tmp_path, capsys):
+    fifo = tmp_path / "clip.rgb"
+    os.mkfifo(fifo)
+    code = main([
+        "pipeline", "--raw", str(fifo), "--width", "10", "--height", "10",
+        "--op", "sobel", "--frames", "2",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "not a regular file" in captured.err
+    assert captured.out == ""
+
+
 def test_pipeline_reports_runreport_json(tmp_path, capsys):
     rng = np.random.default_rng(64)
     raw = tmp_path / "clip.rgb"
@@ -265,6 +281,7 @@ def test_usage_errors_exit_2(capsys):
     assert main(["sobel", "--bogus"]) == 2
     assert main(["convolve", "--in", "a", "--out", "b", "--kernel", "3 1 2"]) == 2
     assert main(["convolve", "--in", "a", "--out", "b", "--kernel", "2 1 1 1 1"]) == 2
+    assert "argument --kernel: kernel side must be odd, got 2" in capsys.readouterr().err
     nan_kernel = "3 0 0 0 0 1 0 0 0 nan"
     assert main(["convolve", "--in", "a", "--out", "b", "--kernel", nan_kernel]) == 2
     assert main(["gen-shader", "--kernel", "3 0 0 0 0 inf 0 0 0 0", "--out", "s"]) == 2
@@ -287,3 +304,54 @@ def test_failed_run_leaves_no_partial_output(tmp_path, capsys):
     assert code == 1
     assert not dst.exists()
     capsys.readouterr()
+
+
+# main reuses one parser for the whole process; nothing may carry over between calls.
+
+
+def test_main_builds_at_most_one_parser_across_calls(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser()
+    per_build = len(built)
+    built.clear()
+    src = tmp_path / "in.pgm"
+    _write_pgm(src, np.full((4, 4), 0.5))
+    for i in range(5):
+        assert main(["sobel", "--in", str(src), "--out", str(tmp_path / f"{i}.pgm")]) == 0
+    assert len(built) <= per_build
+
+
+def test_threshold_does_not_carry_over_to_the_next_call(tmp_path):
+    src = tmp_path / "ramp.pgm"
+    _write_pgm(src, np.tile(np.linspace(0.0, 1.0, 8) ** 2, (8, 1)))
+    thresholded, plain = tmp_path / "t.pgm", tmp_path / "p.pgm"
+    assert main(["sobel", "--in", str(src), "--out", str(thresholded), "--threshold", "0.5"]) == 0
+    assert main(["sobel", "--in", str(src), "--out", str(plain)]) == 0
+    assert set(np.unique(read_pnm(thresholded).samples)) <= {0.0, 1.0}
+    assert not set(np.unique(read_pnm(plain).samples)) <= {0.0, 1.0}
+
+
+def test_usage_error_does_not_carry_over_to_the_next_call(tmp_path, capsys):
+    src = tmp_path / "in.pgm"
+    _write_pgm(src, np.full((4, 4), 0.5))
+    assert main(["sobel", "--in", str(src), "--bogus"]) == 2
+    assert main(["sobel", "--in", str(src), "--out", str(tmp_path / "out.pgm")]) == 0
+    capsys.readouterr()
+
+
+def test_pipeline_reads_the_vsync_env_on_every_call(tmp_path, monkeypatch, capsys):
+    raw = tmp_path / "clip.rgb"
+    raw.write_bytes(bytes(8 * 6 * 3))
+    args = ["pipeline", "--raw", str(raw), "--width", "8", "--height", "6",
+            "--op", "sobel", "--frames", "1"]
+    for hz in ("30", "75"):
+        monkeypatch.setenv("KERNELBENCH_VSYNC", hz)
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["vsync_hz"] == float(hz)

@@ -28,6 +28,7 @@ from kernelbench import (
     ScenarioReport,
     SizeError,
     SyntheticSource,
+    UnsupportedFormat,
     decode_bytes,
     read_pnm,
     run,
@@ -39,6 +40,13 @@ from kernelbench import (
 def _raw_file(tmp_path, size=12):
     path = tmp_path / "clip.rgb"
     path.write_bytes(bytes(size))
+    return str(path)
+
+
+def _raw_fifo(tmp_path):
+    """A FIFO with no writer; the check must stat it, not open it."""
+    path = tmp_path / "clip.rgb"
+    os.mkfifo(path)
     return str(path)
 
 
@@ -98,6 +106,8 @@ BAD_INPUTS = [
     ("synthetic-width-bool", lambda tmp: SyntheticSource(True, 2), SizeError),
     ("raw-width-float", lambda tmp: RawStreamSource(_raw_file(tmp), 2.0, 2), SizeError),
     ("raw-height-bool", lambda tmp: RawStreamSource(_raw_file(tmp, 3), 1, True), SizeError),
+    # Raw frames are read by seeking, so a raw source is a regular file.
+    ("raw-fifo", lambda tmp: RawStreamSource(_raw_fifo(tmp), 10, 10), UnsupportedFormat),
     ("decode-width-float", lambda tmp: decode_bytes(bytes(4), 2.0, 2, GRAY8), SizeError),
     ("decode-width-bool", lambda tmp: decode_bytes(bytes(2), True, 2, GRAY8), SizeError),
     ("chainpass-repeat-float", lambda tmp: ChainPass(SOBEL_GX, repeat=2.5), ValueError),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -52,6 +53,26 @@ def test_fragment_is_deterministic():
             repeat=int(rng.integers(1, 5)),
         )
         assert generate_fragment_shader(p) == generate_fragment_shader(p)
+
+
+# sha256 of the fragment source per (repeat, normalize), recorded before the
+# stencil block was built once per pass; the bytes must not move.
+FRAGMENT_SHA256 = {
+    (1, False): "825c74b62b621537d480ed4330fe3417ad8ed01464e116fa09ee532e87546c2b",
+    (1, True): "97d6141aab8222f89b57729a655d331ceb99e73f2502c888d34b54aa9a09cec4",
+    (2, False): "638d67ab3f6bb3e977b6e338985d3dff958741072506557c89101e356750c417",
+    (2, True): "63b338860db472ba3585675e0c9d16c59b56009693d8c1832ad0285540b29d8b",
+    (3, False): "aa55f08766646cab38192d12af50b432eed0cab66e66b144d73878f5ca521532",
+    (3, True): "ae18a6d1c6d3d0fa9106f1883d4cf7fa9e3acbb68650bd388ee64c21a65b25f6",
+    (64, False): "34edd1c40a95b96899d7f66f5f23b0f030a4162cf325a916ea1598b51b7a6d36",
+    (64, True): "af138ea96835b2de4e5e3888a25b4af31e998ce49ae45973b0be12f54f6a8941",
+}
+
+
+@pytest.mark.parametrize("repeat, normalize", sorted(FRAGMENT_SHA256))
+def test_fragment_bytes_are_pinned(repeat, normalize):
+    src = generate_fragment_shader(ChainPass(IDENTITY, normalize=normalize, repeat=repeat))
+    assert hashlib.sha256(src.encode("ascii")).hexdigest() == FRAGMENT_SHA256[repeat, normalize]
 
 
 def test_repeat_unrolls_that_many_stencil_blocks():

@@ -20,6 +20,7 @@ from .bench import (
     scenario_operators,
     scenario_resolutions,
 )
+from . import detectors
 from .detectors import (
     FreiChenSubset,
     frei_chen,
@@ -64,7 +65,12 @@ def _cmd_convolve(args) -> int:
     return 0
 
 
+# A bad --threshold fails before the input is read. The check is reached
+# through its module: perfbench traces every library function this module
+# names as one of its layers, and a range check is not a layer.
 def _cmd_sobel(args) -> int:
+    if args.threshold is not None:
+        detectors._check_threshold(args.threshold)
     image = read_pnm(args.input)
     if image.channels == 3:
         out = sobel_magnitude_rgb(image)
@@ -77,6 +83,8 @@ def _cmd_sobel(args) -> int:
 
 
 def _cmd_freichen(args) -> int:
+    if args.threshold is not None:
+        detectors._check_threshold(args.threshold)
     image = read_pnm(args.input)
     gray = to_luminance(image) if image.channels == 3 else image
     out = frei_chen(gray, FreiChenSubset(args.subset))

@@ -7,14 +7,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import FormatError, RangeError, _is_real
-from .image import ImageBuffer, _ieee_arithmetic
+from .image import ImageBuffer, _ieee_arithmetic, _strip_rows
 from .kernels import (
     FREI_CHEN,
     BorderPolicy,
     _split_taps,
     _stencil_strip,
     _strip_grid,
-    _strip_rows,
     pad_samples,
 )
 
@@ -262,6 +261,12 @@ def frei_chen(
     return ImageBuffer._from_array(out)
 
 
+def _check_threshold(t) -> None:
+    """Raise RangeError unless t is a real number (a bool is not) within [0, 1]."""
+    if not (_is_real(t) and 0.0 <= t <= 1.0):
+        raise RangeError(f"threshold must be a real number within [0, 1], got {t!r}")
+
+
 def threshold(image: ImageBuffer, t: float) -> ImageBuffer:
     """Binarize a gray image: 1.0 where the sample is strictly above t.
 
@@ -274,6 +279,5 @@ def threshold(image: ImageBuffer, t: float) -> ImageBuffer:
     """
     if image.channels != 1:
         raise FormatError("threshold requires a gray image")
-    if not (_is_real(t) and 0.0 <= t <= 1.0):
-        raise RangeError(f"threshold must be a real number within [0, 1], got {t!r}")
+    _check_threshold(t)
     return ImageBuffer._from_array(np.where(image.samples > t, 1.0, 0.0))

@@ -21,6 +21,18 @@ from .errors import FormatError, RangeError, SizeError, UnsupportedFormat, _is_c
 # so numpy does not warn about them. Use it only as a decorator (reentrant).
 _ieee_arithmetic = np.errstate(over="ignore", invalid="ignore")
 
+# Output is produced in strips whose buffers together take roughly this many
+# bytes, so the working set stays cache-resident at any resolution; per-pixel
+# cost then scales linearly with pixel count instead of degrading once frames
+# outgrow the cache. The stencil engines and the colour and codec stages below
+# share this one budget.
+_STRIP_BYTES = 1 << 20
+
+
+def _strip_rows(arr: np.ndarray, buffers: int = 1) -> int:
+    """Rows per strip when each of `buffers` strip buffers holds arr's rows."""
+    return max(1, _STRIP_BYTES // (buffers * max(arr.strides[0], 1)))
+
 
 class PixelFormat(Enum):
     """Byte-level pixel layouts understood by the codecs."""
@@ -98,7 +110,8 @@ def _check_dimensions(width, height) -> None:
 def decode_bytes(data, width: int, height: int, fmt: PixelFormat) -> ImageBuffer:
     """Decode packed 8-bit pixel data into a float buffer.
 
-    Each byte b becomes the sample b / 255.0 exactly.
+    Each byte b becomes the sample b / 255.0 exactly, written in one pass
+    straight into the returned buffer with no other frame-sized array.
 
     Raises:
         SizeError: if width or height is not an integer of at least 1, or the
@@ -111,8 +124,10 @@ def decode_bytes(data, width: int, height: int, fmt: PixelFormat) -> ImageBuffer
         raise SizeError(
             f"expected {expected} bytes for {width}x{height} {fmt.name}, got {len(raw)}"
         )
-    arr = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
-    return ImageBuffer._from_array(arr.reshape(height, width, fmt.channels))
+    src = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, fmt.channels)
+    # The divide casts each byte to float64 as it reads it, so each sample is
+    # the IEEE quotient b / 255.0.
+    return ImageBuffer._from_array(np.divide(src, 255.0, out=np.empty(src.shape)))
 
 
 def encode_bytes(image: ImageBuffer, fmt: PixelFormat) -> bytes:
@@ -120,7 +135,9 @@ def encode_bytes(image: ImageBuffer, fmt: PixelFormat) -> bytes:
 
     Samples are clamped to [0, 1], scaled by 255, and rounded half away from
     zero; +inf and -inf clamp like any other value. The decode/encode round
-    trip is byte-identical for any valid input.
+    trip is byte-identical for any valid input. The work runs in row strips
+    within the library's strip budget; the only frame-sized arrays are the
+    packed result and its bytes.
 
     Raises:
         FormatError: if the image's channel count does not match the format.
@@ -130,20 +147,37 @@ def encode_bytes(image: ImageBuffer, fmt: PixelFormat) -> bytes:
         raise FormatError(
             f"image has {image.channels} channel(s), {fmt.name} needs {fmt.channels}"
         )
-    scaled = np.clip(image.samples, 0.0, 1.0) * 255.0
-    # After clamping every value is >= 0, so floor(x + 0.5) rounds half away
-    # from zero as required. NaN survives the clamp; the cast is where numpy
-    # flags it, so trapping that flag costs no extra pass over the image.
+    s = image.samples
+    packed = np.empty(s.shape, dtype=np.uint8)
+    # The strip of samples read and the scaled buffer share the budget.
+    strip = _strip_rows(s, buffers=2)
+    scaled = np.empty((min(strip, len(s)),) + s.shape[1:])
+    # After the clamp, the scale and the + 0.5 every value lies in [0.5,
+    # 255.5], where the cast's truncation toward zero is a floor, so the
+    # byte is floor(255x + 0.5): half away from zero. NaN survives the clamp;
+    # the cast is where numpy flags it, so trapping that flag costs no extra
+    # pass over the strip.
     try:
-        with np.errstate(invalid="raise"):
-            return np.floor(scaled + 0.5).astype(np.uint8).tobytes()
+        for y0 in range(0, len(s), strip):
+            band = s[y0 : y0 + strip]
+            rows = scaled[: len(band)]
+            np.clip(band, 0.0, 1.0, out=rows)
+            rows *= 255.0
+            rows += 0.5
+            with np.errstate(invalid="raise"):
+                np.copyto(packed[y0 : y0 + strip], rows, casting="unsafe")
     except FloatingPointError:
         raise RangeError("cannot encode a NaN sample") from None
+    return packed.tobytes()
 
 
 @_ieee_arithmetic
 def to_luminance(image: ImageBuffer) -> ImageBuffer:
     """Convert an RGB buffer to single-channel luma (Rec. 601 weights).
+
+    Each sample is s0*0.299 + (s1*0.587 + s2*0.114), computed in row strips
+    within the library's strip budget, so the returned buffer is the only
+    frame-sized array.
 
     Raises:
         FormatError: if the image is not RGB.
@@ -151,10 +185,25 @@ def to_luminance(image: ImageBuffer) -> ImageBuffer:
     if image.channels != 3:
         raise FormatError("to_luminance requires an RGB image")
     s = image.samples
+    h, w = s.shape[:2]
+    gray = np.empty((h, w, 1))
+    # The RGB strip read takes half the budget; the green, blue and output
+    # rows, a third of its size each, take the other half.
+    strip = _strip_rows(s, buffers=2)
+    green, blue = np.empty((2, min(strip, h), w))
     # Grouping chosen so the three weights sum to exactly 1.0 in float
-    # arithmetic, keeping (1, 1, 1) at exactly 1.0.
-    gray = s[:, :, 0] * 0.299 + (s[:, :, 1] * 0.587 + s[:, :, 2] * 0.114)
-    return ImageBuffer._from_array(gray.reshape(gray.shape + (1,)))
+    # arithmetic, keeping (1, 1, 1) at exactly 1.0. The red product stays the
+    # first operand of the outer add, which decides the payload when both
+    # operands are NaN.
+    for y0 in range(0, h, strip):
+        band = s[y0 : y0 + strip]
+        g, b, out = green[: len(band)], blue[: len(band)], gray[y0 : y0 + strip, :, 0]
+        np.multiply(band[:, :, 1], 0.587, out=g)
+        np.multiply(band[:, :, 2], 0.114, out=b)
+        g += b
+        np.multiply(band[:, :, 0], 0.299, out=out)
+        out += g
+    return ImageBuffer._from_array(gray)
 
 
 _PNM_FORMATS = {b"P5": PixelFormat.GRAY8, b"P6": PixelFormat.RGB24}

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .image import ImageBuffer, _ieee_arithmetic
+from .image import ImageBuffer, _ieee_arithmetic, _strip_rows
 
 
 class BorderPolicy(Enum):
@@ -102,18 +102,6 @@ FREI_CHEN = (
     Kernel(np.array([[-2.0, 1.0, -2.0], [1.0, 4.0, 1.0], [-2.0, 1.0, -2.0]]) / 6.0),
     Kernel(np.ones((3, 3)) / 3.0),
 )
-
-
-# Output is produced in strips whose buffers together take roughly this many
-# bytes, so the working set stays cache-resident at any resolution; per-pixel
-# cost then scales linearly with pixel count instead of degrading once frames
-# outgrow the cache.
-_STRIP_BYTES = 1 << 20
-
-
-def _strip_rows(arr: np.ndarray, buffers: int = 1) -> int:
-    """Rows per strip when each of `buffers` strip buffers holds arr's rows."""
-    return max(1, _STRIP_BYTES // (buffers * max(arr.strides[0], 1)))
 
 
 def _split_taps(coefficients: np.ndarray):

@@ -74,6 +74,23 @@ def test_sobel_threshold_binarizes(tmp_path):
     assert out.max() == 1.0
 
 
+@pytest.mark.parametrize(
+    "command", [["sobel"], ["freichen", "--subset", "edge"]], ids=["sobel", "freichen"]
+)
+@pytest.mark.parametrize("value", ["1.5", "2", "-0.1", "nan"])
+def test_bad_threshold_fails_before_the_input_is_read(tmp_path, capsys, command, value):
+    # The input does not exist, so only a check made before read_pnm can
+    # report the threshold instead of the missing file.
+    missing, dst = tmp_path / "missing.ppm", tmp_path / "out.pgm"
+    code = main(command + ["--in", str(missing), "--out", str(dst), "--threshold", value])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "threshold must be a real number within [0, 1]" in captured.err
+    assert captured.out == ""
+    assert not dst.exists()
+
+
 def test_sobel_accepts_rgb_input(tmp_path):
     rng = np.random.default_rng(62)
     src = tmp_path / "in.ppm"

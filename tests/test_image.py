@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from kernelbench import image
 from kernelbench import (
     FormatError,
     ImageBuffer,
@@ -43,6 +46,9 @@ def test_decode_rejects_dimensions_below_one():
 def test_encode_rounds_half_away_from_zero():
     buf = ImageBuffer(np.array([[0.5]]))
     assert encode_bytes(buf, PixelFormat.GRAY8) == bytes([128])
+    # Each (k + 0.5) / 255 scales back to exactly the tie k + 0.5.
+    ties = ImageBuffer(np.array([[(k + 0.5) / 255 for k in range(255)]]))
+    assert encode_bytes(ties, PixelFormat.GRAY8) == bytes(range(1, 256))
 
 
 def test_encode_clamps():
@@ -161,3 +167,121 @@ def test_read_pnm_truncated_body(tmp_path):
     short.write_bytes(b"P5\n2 2\n255\n\x00\x01")
     with pytest.raises(SizeError):
         read_pnm(short)
+
+
+# Whole-frame references: one numpy expression over the frame for each of
+# decode_bytes, to_luminance and encode_bytes. The strip loops must give the
+# same bytes.
+def _decode_whole_frame(raw, width, height, channels):
+    return (np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0).reshape(
+        height, width, channels
+    )
+
+
+def _luminance_whole_frame(s):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return s[:, :, 0] * 0.299 + (s[:, :, 1] * 0.587 + s[:, :, 2] * 0.114)
+
+
+def _encode_whole_frame(s):
+    scaled = np.clip(s, 0.0, 1.0) * 255.0
+    return np.floor(scaled + 0.5).astype(np.uint8).tobytes()
+
+
+# Signed zeros, infinities, huge and subnormal samples, every rounding tie
+# of the encoder, and the largest double below 0.5 scaled by 1/255.
+_SPECIAL_SAMPLES = np.array(
+    [0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324, 1e-310, -1e-310]
+    + [(k + 0.5) / 255 for k in range(255)]
+    + [0.49999999999999994 / 255]
+)
+
+# Quiet NaNs with distinct payloads and signs, for luminance bits.
+_NANS = np.array(
+    [0x7FF8000000000001, 0xFFF8000000000002, 0x7FF800000000ABCD, 0xFFFC000000000000],
+    dtype=np.uint64,
+).view(np.float64)
+
+
+def _one_strip(width, channels):
+    """Rows in one strip of the codec and colour loops at this width."""
+    return image._strip_rows(np.empty((1, width, channels)), buffers=2)
+
+
+def _strip_edge_shapes(channels):
+    n = len(_SPECIAL_SAMPLES)
+    one = _one_strip(64, channels)
+    assert _one_strip(1280, channels) < 720  # so 720p runs several strips
+    return [(1, 1), (1, n), (n, 1), (one, 64), (one + 1, 64), (720, 1280)]
+
+
+def _samples(shape, channels, seed, pool):
+    rng = np.random.default_rng(seed)
+    x = rng.random(shape + (channels,)) * 1.4 - 0.2
+    flat = x.reshape(-1)
+    if flat.size <= len(pool):
+        flat[:] = pool[: flat.size]
+    else:
+        picked = rng.random(flat.size) < 0.25
+        flat[picked] = rng.choice(pool, int(picked.sum()))
+        flat[-len(pool) :] = pool  # the last strip holds every special too
+    return x
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_decode_matches_whole_frame_formula_at_strip_edges(channels):
+    fmt = PixelFormat.GRAY8 if channels == 1 else PixelFormat.RGB24
+    rng = np.random.default_rng(21)
+    for h, w in _strip_edge_shapes(channels):
+        raw = rng.integers(0, 256, h * w * channels, dtype=np.uint8).tobytes()
+        got = decode_bytes(raw, w, h, fmt).samples
+        assert got.tobytes() == _decode_whole_frame(raw, w, h, channels).tobytes(), (h, w)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_encode_matches_whole_frame_formula_at_strip_edges(channels):
+    fmt = PixelFormat.GRAY8 if channels == 1 else PixelFormat.RGB24
+    for seed, (h, w) in enumerate(_strip_edge_shapes(channels)):
+        x = _samples((h, w), channels, seed, _SPECIAL_SAMPLES)
+        assert encode_bytes(ImageBuffer(x), fmt) == _encode_whole_frame(x), (h, w)
+
+
+def test_luminance_matches_whole_frame_formula_at_strip_edges():
+    pool = np.concatenate([_SPECIAL_SAMPLES, _NANS])
+    for seed, (h, w) in enumerate(_strip_edge_shapes(3)):
+        x = _samples((h, w), 3, seed, pool)
+        got = to_luminance(ImageBuffer(x)).samples
+        assert got.shape == (h, w, 1)
+        assert got.tobytes() == _luminance_whole_frame(x).tobytes(), (h, w)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_encode_rejects_nan_in_any_strip(channels):
+    fmt = PixelFormat.GRAY8 if channels == 1 else PixelFormat.RGB24
+    h = 2 * _one_strip(64, channels) + 1
+    for row in (0, h // 2, h - 1):
+        x = np.full((h, 64, channels), 0.5)
+        x[row, -1, -1] = np.nan
+        with pytest.raises(RangeError, match="NaN"):
+            encode_bytes(ImageBuffer(x), fmt)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_codec_and_luminance_make_no_frame_sized_temporaries():
+    h, w = 720, 1280
+    rng = np.random.default_rng(22)
+    raw = rng.integers(0, 256, h * w * 3, dtype=np.uint8).tobytes()
+    rgb = decode_bytes(raw, w, h, PixelFormat.RGB24)
+    mib = 1 << 20
+    assert _peak_bytes(decode_bytes, raw, w, h, PixelFormat.RGB24) <= h * w * 3 * 8 + mib
+    assert _peak_bytes(to_luminance, rgb) <= h * w * 8 + mib
+    # The packed result and the bytes object tobytes copies it into.
+    assert _peak_bytes(encode_bytes, rgb, PixelFormat.RGB24) <= 2 * h * w * 3 + mib

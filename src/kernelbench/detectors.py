@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import threading
 from enum import Enum
 
 import numpy as np
@@ -33,6 +35,28 @@ _FREI_CHEN_MAGNITUDES = tuple(
 # Strip buffers of the fused Frei-Chen loop, all counted against the strip
 # budget: the response, the negative-tap accumulator, M, S and the bands.
 _FREI_CHEN_BUFFERS = 4 + len(_FREI_CHEN_MAGNITUDES)
+
+
+def _frei_chen_strip_rows(padded: np.ndarray) -> int:
+    """Rows per Frei-Chen strip: three times the strip budget's share.
+
+    With the budget's own strips (22 rows at VGA) each numpy call takes about
+    7 us, about the cost of a GIL hand-off, so two row ranges ran slower than
+    one. Per frei_chen on the VGA clip's luminance frames (2-core Xeon), with
+    strips of 1x, 2x, 3x, 4x and 6x the budget's rows: two ranges took 21.6,
+    13.0-14.9, 12.3-13.6, 13.6 and 15.4 ms; one range took 17.0-20.3 ms at 1x
+    and 15.8-18.8 ms at 3x. At VGA a range's strip buffers take about 3 MB.
+    """
+    return 3 * _strip_rows(padded, buffers=_FREI_CHEN_BUFFERS)
+
+
+def _row_ranges(h: int, strip: int) -> list[tuple[int, int]]:
+    """Contiguous ranges of whole strips of h rows, one per usable CPU and at most one per strip."""
+    strips = -(-h // strip)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    count = min(cpus or 1, strips)
+    bounds = [min(h, strip * (strips * k // count)) for k in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 class FreiChenSubset(Enum):
@@ -182,52 +206,31 @@ def _frei_chen_plan(bands: np.ndarray, pitch: int, size: int):
 
 
 @_ieee_arithmetic
-def frei_chen(
-    image: ImageBuffer,
-    subset: FreiChenSubset,
-    border: BorderPolicy = BorderPolicy.CLAMP_TO_EDGE,
-) -> ImageBuffer:
-    """Frei-Chen edge measure sqrt(M / S) in [0, 1].
+def _frei_chen_rows(
+    padded: np.ndarray, out: np.ndarray, subset: FreiChenSubset, strip: int, y_start: int, y_end: int
+) -> None:
+    """Write output rows [y_start, y_end) of frei_chen into out, strip by strip.
 
-    M sums the squared responses of the chosen subset, S those of all nine
-    basis masks. The image is padded once, then one fused loop runs the nine
-    masks and the combine strip by strip. Per strip, the padded rows are
-    multiplied once by each distinct tap magnitude, one band per magnitude,
-    and every tap is then a plain add of a slice of its band; the products
-    and their order are those of multiplying tap by tap. Responses are
-    squared and summed in basis order into M and S; each sum starts at its
-    first square, and when the subset starts at G1, M is S as it stands after
-    the last chosen mask. Because the subset terms are added in the same
-    order in both, M never exceeds S even in float arithmetic, so the output
-    stays within [0, 1]. Pixels with S below FREI_CHEN_EPSILON report 0, and
-    so do pixels whose padded 3x3 window is finite and constant: rounding in
-    G7 and G8, whose positive and negative taps differ, would otherwise leave
-    about 1e-16 there.
-
-    Raises:
-        FormatError: if the image is not single-channel.
+    Each call allocates its own strip buffers, bands and tap plans and writes
+    only its own rows of out, so calls on disjoint row ranges may run in
+    parallel threads. A new thread does not inherit numpy's error state, so
+    this function carries _ieee_arithmetic itself.
     """
-    if image.channels != 1:
-        raise FormatError("frei_chen requires a gray image; convert with to_luminance")
-    arr = image.samples
-    h, w = arr.shape[0], arr.shape[1]
-    padded = pad_samples(arr, 1, border)
+    pitch = padded.shape[1]
+    w = pitch - 2
     flat = padded.reshape(-1)
-    pitch = w + 2
-    out = np.empty_like(arr)
-    strip = _strip_rows(padded, buffers=_FREI_CHEN_BUFFERS)
-    n0 = min(strip, h)
+    n0 = min(strip, y_end - y_start)
     buffers = np.empty((4, n0 * pitch))
     bands = np.empty((len(_FREI_CHEN_MAGNITUDES), (n0 + 2) * pitch))
     first, last = subset.mask_indices[0], subset.mask_indices[-1]
     # The tap views are the same for every strip of one size: one plan for
     # the full strips and one for a short last strip.
     plans = {}
-    for y0 in range(0, h, strip):
-        rows = min(strip, h - y0)
+    for y0 in range(y_start, y_end, strip):
+        rows = min(strip, y_end - y0)
         size = (rows - 1) * pitch + w
         # The last tap, (2, 2), reads up to 2 * pitch + 2 samples past size;
-        # for the last strip the source ends exactly at flat's end.
+        # for the frame's last strip the source ends exactly at flat's end.
         source = flat[y0 * pitch :][: size + 2 * pitch + 2]
         for band, magnitude in zip(bands, _FREI_CHEN_MAGNITUDES):
             np.multiply(source, magnitude, out=band[: source.size])
@@ -258,6 +261,66 @@ def frei_chen(
         zero |= _flat_windows(padded[y0 : y0 + rows + 2])
         numerator[zero] = 0.0
         np.sqrt(numerator, out=out[y0 : y0 + rows])
+
+
+@_ieee_arithmetic
+def frei_chen(
+    image: ImageBuffer,
+    subset: FreiChenSubset,
+    border: BorderPolicy = BorderPolicy.CLAMP_TO_EDGE,
+) -> ImageBuffer:
+    """Frei-Chen edge measure sqrt(M / S) in [0, 1].
+
+    M sums the squared responses of the chosen subset, S those of all nine
+    basis masks. The image is padded once, then one fused loop runs the nine
+    masks and the combine strip by strip. Per strip, the padded rows are
+    multiplied once by each distinct tap magnitude, one band per magnitude,
+    and every tap is then a plain add of a slice of its band; the products
+    and their order are those of multiplying tap by tap. Responses are
+    squared and summed in basis order into M and S; each sum starts at its
+    first square, and when the subset starts at G1, M is S as it stands after
+    the last chosen mask. Because the subset terms are added in the same
+    order in both, M never exceeds S even in float arithmetic, so the output
+    stays within [0, 1]. Pixels with S below FREI_CHEN_EPSILON report 0, and
+    so do pixels whose padded 3x3 window is finite and constant: rounding in
+    G7 and G8, whose positive and negative taps differ, would otherwise leave
+    about 1e-16 there.
+
+    The strips are split into contiguous row ranges, one per CPU the process
+    may use; the calling thread runs the first range and a new thread each
+    other one. Every pixel gets the same operations in the same order in any
+    range, so the split does not change the output.
+
+    Raises:
+        FormatError: if the image is not single-channel.
+    """
+    if image.channels != 1:
+        raise FormatError("frei_chen requires a gray image; convert with to_luminance")
+    arr = image.samples
+    padded = pad_samples(arr, 1, border)
+    out = np.empty_like(arr)
+    strip = _frei_chen_strip_rows(padded)
+    first, *rest = _row_ranges(arr.shape[0], strip)
+    errors = []
+
+    def run(rows):
+        try:
+            _frei_chen_rows(padded, out, subset, strip, *rows)
+        except BaseException as error:
+            errors.append(error)
+
+    threads = []
+    try:
+        for rows in rest:
+            thread = threading.Thread(target=run, args=(rows,))
+            thread.start()
+            threads.append(thread)
+        _frei_chen_rows(padded, out, subset, strip, *first)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return ImageBuffer._from_array(out)
 
 

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 
@@ -16,6 +17,7 @@ from kernelbench import (
     read_pnm,
     write_pnm,
 )
+from kernelbench import cli
 from kernelbench.cli import build_parser, main
 
 
@@ -372,3 +374,35 @@ def test_pipeline_reads_the_vsync_env_on_every_call(tmp_path, monkeypatch, capsy
         monkeypatch.setenv("KERNELBENCH_VSYNC", hz)
         assert main(args) == 0
         assert json.loads(capsys.readouterr().out)["vsync_hz"] == float(hz)
+
+
+# The package functions that cli.py holds by name, as module.name.
+_CLI_IMPORTED_FUNCTIONS = {
+    "bench.scenario_operators", "bench.scenario_resolutions",
+    "detectors.frei_chen", "detectors.sobel_magnitude", "detectors.sobel_magnitude_rgb",
+    "detectors.threshold",
+    "image.atomic_write_bytes", "image.read_pnm", "image.to_luminance", "image.write_pnm",
+    "kernels.correlate", "kernels.parse_kernel",
+    "pipeline._check_vsync", "pipeline.run",
+    "shadergen.generate_program", "shadergen.write_program",
+}
+
+
+def test_cli_imports_only_the_pinned_package_functions_by_name():
+    imported = {
+        f"{obj.__module__.removeprefix('kernelbench.')}.{name}"
+        for name, obj in vars(cli).items()
+        if inspect.isfunction(obj)
+        and obj.__module__.startswith("kernelbench.")
+        and obj.__module__ != cli.__name__
+    }
+    assert imported == _CLI_IMPORTED_FUNCTIONS, (
+        "perfbench's traced run (Recorder.wrap_imports) wraps every package function "
+        "that cli.py imports by name as a traced layer, so a new one changes the "
+        "pnm-batch workload's expected call counts and its --trace 1 run ends "
+        "correct: false. Reach a private helper through its module "
+        "(detectors._check_threshold), or update the workload's call counts along "
+        "with this set. Added: "
+        f"{sorted(imported - _CLI_IMPORTED_FUNCTIONS)}, "
+        f"removed: {sorted(_CLI_IMPORTED_FUNCTIONS - imported)}"
+    )

@@ -1,10 +1,13 @@
 import itertools
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from kernelbench import detectors, kernels
+from kernelbench import detectors, image, kernels
 from kernelbench import (
     SOBEL_GX,
     SOBEL_GY,
@@ -247,7 +250,7 @@ def test_frei_chen_flat_rule_needs_a_finite_window():
 
 def _frei_chen_strip_rows(w):
     """Rows per strip of frei_chen on a w-wide image, whose padded rows are w + 2 wide."""
-    return kernels._strip_rows(np.empty((1, w + 2, 1)), buffers=detectors._FREI_CHEN_BUFFERS)
+    return detectors._frei_chen_strip_rows(np.empty((1, w + 2, 1)))
 
 
 def test_frei_chen_flat_rule_holds_across_strips():
@@ -315,6 +318,104 @@ def test_fused_frei_chen_is_bit_identical_to_the_frame_sized_combine():
             # tobytes compares the sign of zero as well. NaN bits may differ
             # where two NaNs meet: numpy's add loops return different operands.
             assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def _use_cpus(monkeypatch, count):
+    """Make frei_chen see count usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _record_ranges(monkeypatch):
+    """Record the (y_start, y_end) and thread of each range frei_chen runs."""
+    calls = []
+    original = detectors._frei_chen_rows
+
+    def recording(*args):
+        calls.append((args[-2:], threading.current_thread()))
+        original(*args)
+
+    monkeypatch.setattr(detectors, "_frei_chen_rows", recording)
+    return calls
+
+
+def test_frei_chen_row_ranges_are_bit_identical_to_one_range(monkeypatch):
+    # A one-byte strip budget gives 3-row strips, so four usable CPUs split
+    # a 40-row frame into four ranges of whole strips, the last one short.
+    monkeypatch.setattr(image, "_STRIP_BYTES", 1)
+    _use_cpus(monkeypatch, 4)
+    h, w = 40, 23
+    strip = _frei_chen_strip_rows(w)
+    ranges = [(0, 9), (9, 21), (21, 30), (30, 40)]
+    assert strip == 3 and detectors._row_ranges(h, strip) == ranges
+    rng = np.random.default_rng(40)
+    arr = rng.standard_normal((h, w, 1))
+    # Around each range boundary b: inf, -inf and NaN in the rows on either
+    # side, a finite flat window and a flat window of -0.0 straddling it.
+    for b in (end for _, end in ranges[:-1]):
+        arr[b - 1, 1], arr[b, 2], arr[b - 1, 4], arr[b, 5] = np.inf, -np.inf, np.nan, -0.0
+        arr[b - 2 : b + 2, 8:13] = 0.35
+        arr[b - 2 : b + 2, 15:20] = -0.0
+    calls = _record_ranges(monkeypatch)
+    for subset, border in itertools.product(FreiChenSubset, BorderPolicy):
+        _use_cpus(monkeypatch, 1)
+        one = frei_chen(ImageBuffer(arr), subset, border).samples
+        _use_cpus(monkeypatch, 4)
+        calls.clear()
+        # Four ranges on fewer cores, switching threads as often as the
+        # interpreter allows, so the ranges interleave.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = frei_chen(ImageBuffer(arr), subset, border).samples
+        finally:
+            sys.setswitchinterval(interval)
+        threads = dict(calls)
+        assert sorted(threads) == ranges and len(set(threads.values())) == len(ranges)
+        assert threads[ranges[0]] is threading.main_thread()
+        # Same operations in the same order: the same bits, NaN payloads too.
+        assert got.tobytes() == one.tobytes()
+        want = _frei_chen_frame_sized(arr, subset, border)
+        flat = _flat_windows(arr, border)
+        assert flat[[b for _, b in ranges[:-1]]].any()
+        assert np.all(got[flat] == 0.0) and not np.signbit(got[flat]).any()
+        got, want = got[~flat], want[~flat]
+        nan = np.isnan(want)
+        assert nan.any() and np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_frei_chen_range_error_reaches_the_caller_after_every_range_ends(monkeypatch, where):
+    monkeypatch.setattr(image, "_STRIP_BYTES", 1)
+    _use_cpus(monkeypatch, 3)
+    original = detectors._flat_windows
+
+    def failing(band):
+        if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
+            raise RuntimeError(f"fault in the {where}")
+        return original(band)
+
+    monkeypatch.setattr(detectors, "_flat_windows", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"fault in the {where}"):
+        frei_chen(ImageBuffer(np.zeros((30, 9, 1))), FreiChenSubset.EDGE)
+    assert threading.active_count() == before
+
+
+def test_frei_chen_runs_one_range_on_one_cpu(monkeypatch):
+    monkeypatch.setattr(image, "_STRIP_BYTES", 1)
+    _use_cpus(monkeypatch, 1)
+    calls = _record_ranges(monkeypatch)
+    frei_chen(ImageBuffer(np.zeros((30, 9, 1))), FreiChenSubset.EDGE)
+    assert calls == [((0, 30), threading.main_thread())]
+
+
+def test_small_frei_chen_frames_stay_one_range(monkeypatch):
+    # Starting a thread would cost more than these frames' second range saves.
+    _use_cpus(monkeypatch, 2)
+    for side in (64, 96, 128):
+        assert detectors._row_ranges(side, _frei_chen_strip_rows(side)) == [(0, side)]
+    assert len(detectors._row_ranges(480, _frei_chen_strip_rows(640))) == 2
 
 
 def test_detectors_agree_with_the_independent_references():

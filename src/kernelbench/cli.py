@@ -65,29 +65,22 @@ def _cmd_convolve(args) -> int:
     return 0
 
 
+def _sobel(image, args):
+    return sobel_magnitude_rgb(image) if image.channels == 3 else sobel_magnitude(image)
+
+
+def _freichen(image, args):
+    gray = to_luminance(image) if image.channels == 3 else image
+    return frei_chen(gray, FreiChenSubset(args.subset))
+
+
 # A bad --threshold fails before the input is read. The check is reached
 # through its module: perfbench traces every library function this module
 # names as one of its layers, and a range check is not a layer.
-def _cmd_sobel(args) -> int:
+def _cmd_detect(args) -> int:
     if args.threshold is not None:
         detectors._check_threshold(args.threshold)
-    image = read_pnm(args.input)
-    if image.channels == 3:
-        out = sobel_magnitude_rgb(image)
-    else:
-        out = sobel_magnitude(image)
-    if args.threshold is not None:
-        out = threshold(out, args.threshold)
-    write_pnm(out, args.output)
-    return 0
-
-
-def _cmd_freichen(args) -> int:
-    if args.threshold is not None:
-        detectors._check_threshold(args.threshold)
-    image = read_pnm(args.input)
-    gray = to_luminance(image) if image.channels == 3 else image
-    out = frei_chen(gray, FreiChenSubset(args.subset))
+    out = args.measure(read_pnm(args.input), args)
     if args.threshold is not None:
         out = threshold(out, args.threshold)
     write_pnm(out, args.output)
@@ -171,14 +164,14 @@ def build_parser() -> argparse.ArgumentParser:
     sobel.add_argument("--in", dest="input", required=True, metavar="PNM")
     sobel.add_argument("--out", dest="output", required=True, metavar="PNM")
     sobel.add_argument("--threshold", type=float, default=None, metavar="T")
-    sobel.set_defaults(func=_cmd_sobel)
+    sobel.set_defaults(func=_cmd_detect, measure=_sobel)
 
     freichen = sub.add_parser("freichen", help="Frei-Chen edge measure")
     freichen.add_argument("--in", dest="input", required=True, metavar="PNM")
     freichen.add_argument("--out", dest="output", required=True, metavar="PNM")
     freichen.add_argument("--subset", required=True, choices=[s.value for s in FreiChenSubset])
     freichen.add_argument("--threshold", type=float, default=None, metavar="T")
-    freichen.set_defaults(func=_cmd_freichen)
+    freichen.set_defaults(func=_cmd_detect, measure=_freichen)
 
     gen = sub.add_parser("gen-shader", help="emit GLSL sources for a kernel pass")
     gen.add_argument("--kernel", required=True, type=_kernel_arg)

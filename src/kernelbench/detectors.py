@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
 
 import numpy as np
@@ -263,7 +263,6 @@ def _frei_chen_rows(
         np.sqrt(numerator, out=out[y0 : y0 + rows])
 
 
-@_ieee_arithmetic
 def frei_chen(
     image: ImageBuffer,
     subset: FreiChenSubset,
@@ -287,40 +286,29 @@ def frei_chen(
     about 1e-16 there.
 
     The strips are split into contiguous row ranges, one per CPU the process
-    may use; the calling thread runs the first range and a new thread each
-    other one. Every pixel gets the same operations in the same order in any
-    range, so the split does not change the output.
+    may use; the calling thread runs the first and a thread pool the rest,
+    and no pool thread outlives the call. Each pixel gets the same operations
+    in the same order in any range, so the split does not change the output.
 
     Raises:
         FormatError: if the image is not single-channel.
+        TypeError: if subset is not a FreiChenSubset or border not a BorderPolicy.
     """
     if image.channels != 1:
         raise FormatError("frei_chen requires a gray image; convert with to_luminance")
+    if not isinstance(subset, FreiChenSubset):
+        raise TypeError(f"subset must be a FreiChenSubset, got {type(subset).__name__}")
     arr = image.samples
     padded = pad_samples(arr, 1, border)
     out = np.empty_like(arr)
     strip = _frei_chen_strip_rows(padded)
     first, *rest = _row_ranges(arr.shape[0], strip)
-    errors = []
-
-    def run(rows):
-        try:
-            _frei_chen_rows(padded, out, subset, strip, *rows)
-        except BaseException as error:
-            errors.append(error)
-
-    threads = []
-    try:
-        for rows in rest:
-            thread = threading.Thread(target=run, args=(rows,))
-            thread.start()
-            threads.append(thread)
+    # Leaving the block joins every worker, so no range's error is raised before all have ended.
+    with ThreadPoolExecutor(max(1, len(rest))) as pool:
+        futures = [pool.submit(_frei_chen_rows, padded, out, subset, strip, *r) for r in rest]
         _frei_chen_rows(padded, out, subset, strip, *first)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    for future in futures:
+        future.result()
     return ImageBuffer._from_array(out)
 
 

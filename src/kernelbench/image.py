@@ -49,18 +49,18 @@ class ImageBuffer:
     """Immutable row-major grid of float samples with 1 or 3 channels.
 
     The constructor copies its input; use the array with shape (height,
-    width, channels) or (height, width) for a single channel. A complex
-    input raises FormatError instead of losing its imaginary part. Instances
-    are values: the backing array is marked read-only and safe to share
-    across threads.
+    width, channels) or (height, width) for a single channel. Input of any
+    dtype but bool, integer or real float, such as complex, strings, objects
+    or datetimes, raises FormatError. Instances are values: the backing
+    array is marked read-only and safe to share across threads.
     """
 
     __slots__ = ("_samples",)
 
     def __init__(self, samples) -> None:
         arr = np.asarray(samples)
-        if np.iscomplexobj(arr):
-            raise FormatError("samples must be real; got a complex array")
+        if arr.dtype.kind not in "biuf":
+            raise FormatError(f"samples must be real numbers; got dtype {arr.dtype}")
         arr = np.array(arr, dtype=np.float64)
         if arr.ndim == 2:
             arr = arr.reshape(arr.shape + (1,))

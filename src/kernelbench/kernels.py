@@ -192,7 +192,9 @@ def _strip_grid(buf: np.ndarray, rows: int, pitch: int, w: int, channels: int) -
 
 
 def pad_samples(arr: np.ndarray, radius: int, border: BorderPolicy) -> np.ndarray:
-    """Pad a (h, w, c) sample array by radius rows/columns per the policy."""
+    """Pad a (h, w, c) sample array by radius rows/columns per a BorderPolicy, else TypeError."""
+    if not isinstance(border, BorderPolicy):
+        raise TypeError(f"border must be a BorderPolicy, got {type(border).__name__}")
     return np.pad(arr, ((radius, radius), (radius, radius), (0, 0)), mode=border.pad_mode)
 
 

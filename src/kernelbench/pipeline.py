@@ -158,10 +158,13 @@ def next_frame(source: FrameSource, index: int) -> ImageBuffer:
 
     Raises:
         EndOfStream: when a raw stream has no frame at the index.
+        TypeError: if source is neither a SyntheticSource nor a RawStreamSource.
     """
     if isinstance(source, SyntheticSource):
         return _synthetic_frame(source, index)
-    return _raw_frame(source, index)
+    if isinstance(source, RawStreamSource):
+        return _raw_frame(source, index)
+    raise TypeError(f"source must be a FrameSource, got {type(source).__name__}")
 
 
 class DetectorKind(Enum):
@@ -180,9 +183,7 @@ def _process_frame(frame: ImageBuffer, work) -> ImageBuffer:
         return execute_chain_reference(frame, work)
     if work is DetectorKind.SOBEL:
         return sobel_magnitude_rgb(frame)
-    if work is DetectorKind.FREI_CHEN:
-        return frei_chen(to_luminance(frame), PIPELINE_FREI_CHEN_SUBSET)
-    raise TypeError(f"work must be a ChainSpec or DetectorKind, got {type(work).__name__}")
+    return frei_chen(to_luminance(frame), PIPELINE_FREI_CHEN_SUBSET)
 
 
 @dataclass(frozen=True)
@@ -329,11 +330,14 @@ def run(
     Raises:
         ValueError: for any other frames, warmup or vsync_hz, before any
             frame runs.
+        TypeError: if work is not a ChainSpec or DetectorKind, or source not a FrameSource.
     """
     for name, value, minimum in (("frames", frames, 1), ("warmup", warmup, 0)):
         if not _is_count(value, minimum):
             raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     _check_vsync(vsync_hz)
+    if not isinstance(work, (ChainSpec, DetectorKind)):
+        raise TypeError(f"work must be a ChainSpec or DetectorKind, got {type(work).__name__}")
     measured = []
     partial = False
     for index in range(frames + warmup):

@@ -1,6 +1,9 @@
 """The package's public surface: the names a star import and __all__ give."""
 
+import ast
 import inspect
+import pathlib
+import sys
 import types
 
 import kernelbench
@@ -87,3 +90,21 @@ def test_default_vsync_is_one_constant():
     assert kernelbench.bench.DEFAULT_VSYNC_HZ is kernelbench.pipeline.DEFAULT_VSYNC_HZ
     run_default = inspect.signature(kernelbench.run).parameters["vsync_hz"].default
     assert run_default is kernelbench.DEFAULT_VSYNC_HZ
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # The package has no runtime dependency beyond numpy.
+    outside = []
+    for path in sorted(pathlib.Path(kernelbench.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top not in sys.stdlib_module_names and top != "numpy":
+                    outside.append(f"{path.name}: {name}")
+    assert outside == []

@@ -29,7 +29,10 @@ from kernelbench import (
     SizeError,
     SyntheticSource,
     UnsupportedFormat,
+    correlate,
     decode_bytes,
+    frei_chen,
+    next_frame,
     read_pnm,
     run,
     threshold,
@@ -48,6 +51,13 @@ def _raw_fifo(tmp_path):
     path = tmp_path / "clip.rgb"
     os.mkfifo(path)
     return str(path)
+
+
+def _emptied_raw_source(tmp_path):
+    """A raw source whose file lost its frames after the source was made."""
+    source = RawStreamSource(_raw_file(tmp_path), 2, 2)
+    open(source.path, "wb").close()
+    return source
 
 
 def _pnm_file(tmp_path, content):
@@ -153,6 +163,18 @@ BAD_INPUTS = [
     # Pixel buffers.
     ("image-complex", lambda tmp: ImageBuffer(np.array([[1 + 1j]])), FormatError),
     ("image-complex-list", lambda tmp: ImageBuffer([[0.5, 1j]]), FormatError),
+    # Samples are numbers: numeric strings, objects and dates are not converted.
+    ("image-numeric-string", lambda tmp: ImageBuffer([["0.5"]]), FormatError),
+    ("image-string", lambda tmp: ImageBuffer([["a"]]), FormatError),
+    ("image-object-none", lambda tmp: ImageBuffer(np.array([[None, 1]])), FormatError),
+    ("image-datetime",
+     lambda tmp: ImageBuffer(np.array([["2024-01-01"]], dtype="datetime64[D]")), FormatError),
+    # Enum and source arguments of the wrong type, before any work.
+    ("correlate-border-string", lambda tmp: correlate(GRAY, SOBEL_GX, "clamp"), TypeError),
+    ("frei-chen-subset-string", lambda tmp: frei_chen(GRAY, "edge"), TypeError),
+    ("next-frame-path-string", lambda tmp: next_frame(_raw_file(tmp), 0), TypeError),
+    # The work is checked before the first frame: this source has none left.
+    ("run-work-string", lambda tmp: run(_emptied_raw_source(tmp), "sobel", frames=1), TypeError),
 ]
 
 ACCEPTED = [

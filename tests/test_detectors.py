@@ -356,6 +356,7 @@ def test_frei_chen_row_ranges_are_bit_identical_to_one_range(monkeypatch):
         arr[b - 2 : b + 2, 8:13] = 0.35
         arr[b - 2 : b + 2, 15:20] = -0.0
     calls = _record_ranges(monkeypatch)
+    before = threading.active_count()
     for subset, border in itertools.product(FreiChenSubset, BorderPolicy):
         _use_cpus(monkeypatch, 1)
         one = frei_chen(ImageBuffer(arr), subset, border).samples
@@ -369,9 +370,14 @@ def test_frei_chen_row_ranges_are_bit_identical_to_one_range(monkeypatch):
             got = frei_chen(ImageBuffer(arr), subset, border).samples
         finally:
             sys.setswitchinterval(interval)
+        # Each range runs once, the first on the caller's thread and every
+        # other one on a pool thread; an idle pool thread may take several.
+        assert sorted(rows for rows, _ in calls) == ranges
         threads = dict(calls)
-        assert sorted(threads) == ranges and len(set(threads.values())) == len(ranges)
         assert threads[ranges[0]] is threading.main_thread()
+        assert all(threads[rows] is not threading.main_thread() for rows in ranges[1:])
+        # No pool thread outlives the call.
+        assert threading.active_count() == before
         # Same operations in the same order: the same bits, NaN payloads too.
         assert got.tobytes() == one.tobytes()
         want = _frei_chen_frame_sized(arr, subset, border)

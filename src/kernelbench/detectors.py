@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from .errors import FormatError, RangeError, _is_real
-from .image import ImageBuffer, _ieee_arithmetic, _strip_rows
+from .image import ImageBuffer, _ieee_arithmetic, _run_ranges, _strip_rows
 from .kernels import (
     FREI_CHEN,
     BorderPolicy,
@@ -50,15 +49,6 @@ def _frei_chen_strip_rows(padded: np.ndarray) -> int:
     return 3 * _strip_rows(padded, buffers=_FREI_CHEN_BUFFERS)
 
 
-def _row_ranges(h: int, strip: int) -> list[tuple[int, int]]:
-    """Contiguous ranges of whole strips of h rows, one per usable CPU and at most one per strip."""
-    strips = -(-h // strip)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    count = min(cpus or 1, strips)
-    bounds = [min(h, strip * (strips * k // count)) for k in range(count + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
 class FreiChenSubset(Enum):
     """Which masks contribute to the Frei-Chen numerator."""
 
@@ -94,28 +84,28 @@ def _combine_gradients(gx, gy, out: np.ndarray, scratch: np.ndarray) -> None:
 
 
 @_ieee_arithmetic
-def _sobel_samples(arr: np.ndarray, border: BorderPolicy) -> np.ndarray:
-    """Per-channel Sobel magnitude reduced with max over channels.
+def _sobel_rows(padded: np.ndarray, out: np.ndarray, strip: int, y_start: int, y_end: int) -> None:
+    """Write output rows [y_start, y_end) of the Sobel magnitude into out, strip by strip.
 
     Sobel is separable: with s the [1 2 1] sum across each padded row and t
     the same sum down each padded column, gx = s[y+1] - s[y-1] and
     gy = t[:, x+1] - t[:, x-1]. Each sum is formed as (2 * centre + left or
     top) + right or bottom, the order in which the tap loop accumulates each
     sign group of SOBEL_GX and SOBEL_GY, so the result is bit-identical to
-    correlating with the two masks. Everything runs strip by strip so the
-    four strip buffers stay cache-resident at any frame size.
+    correlating with the two masks. The four strip buffers stay
+    cache-resident at any frame size. Like _frei_chen_rows, each call has its
+    own buffers and writes only its own rows of out, and carries
+    _ieee_arithmetic itself because a new thread does not inherit numpy's
+    error state.
     """
-    h, w = arr.shape[0], arr.shape[1]
-    padded = pad_samples(arr, 1, border)
-    out = np.empty((h, w))
-    strip = _strip_rows(arr, buffers=4)
-    n0 = min(strip, h)
-    rows = np.empty((n0 + 2,) + arr.shape[1:])
-    cols = np.empty((n0, w + 2) + arr.shape[2:])
-    gx = np.empty((n0,) + arr.shape[1:])
+    w = padded.shape[1] - 2
+    n0 = min(strip, y_end - y_start)
+    rows = np.empty((n0 + 2, w) + padded.shape[2:])
+    cols = np.empty((n0,) + padded.shape[1:])
+    gx = np.empty((n0, w) + padded.shape[2:])
     gy = np.empty_like(gx)
-    for y0 in range(0, h, strip):
-        y1 = min(y0 + strip, h)
+    for y0 in range(y_start, y_end, strip):
+        y1 = min(y0 + strip, y_end)
         n = y1 - y0
         band = padded[y0 : y1 + 2]
         s = rows[: n + 2]
@@ -129,6 +119,20 @@ def _sobel_samples(arr: np.ndarray, border: BorderPolicy) -> np.ndarray:
         t += band[2:]
         np.subtract(t[:, 2:], t[:, :w], out=gy[:n])
         _combine_gradients(gx[:n], gy[:n], out[y0:y1], scratch=gx[:n])
+
+
+def _sobel_samples(arr: np.ndarray, border: BorderPolicy) -> np.ndarray:
+    """Per-channel Sobel magnitude reduced with max over channels.
+
+    The frame is padded once, then its strips run as row ranges (_run_ranges)
+    of _sobel_rows. Each pixel gets the same operations in the same order in
+    any range, so the split does not change the output.
+    """
+    h, w = arr.shape[0], arr.shape[1]
+    padded = pad_samples(arr, 1, border)
+    out = np.empty((h, w))
+    strip = _strip_rows(arr, buffers=4)
+    _run_ranges(h, strip, partial(_sobel_rows, padded, out, strip))
     return out
 
 
@@ -285,10 +289,9 @@ def frei_chen(
     G7 and G8, whose positive and negative taps differ, would otherwise leave
     about 1e-16 there.
 
-    The strips are split into contiguous row ranges, one per CPU the process
-    may use; the calling thread runs the first and a thread pool the rest,
-    and no pool thread outlives the call. Each pixel gets the same operations
-    in the same order in any range, so the split does not change the output.
+    The strips run as contiguous row ranges, one per CPU the process may use
+    (_run_ranges). Each pixel gets the same operations in the same order in
+    any range, so the split does not change the output.
 
     Raises:
         FormatError: if the image is not single-channel.
@@ -302,13 +305,7 @@ def frei_chen(
     padded = pad_samples(arr, 1, border)
     out = np.empty_like(arr)
     strip = _frei_chen_strip_rows(padded)
-    first, *rest = _row_ranges(arr.shape[0], strip)
-    # Leaving the block joins every worker, so no range's error is raised before all have ended.
-    with ThreadPoolExecutor(max(1, len(rest))) as pool:
-        futures = [pool.submit(_frei_chen_rows, padded, out, subset, strip, *r) for r in rest]
-        _frei_chen_rows(padded, out, subset, strip, *first)
-    for future in futures:
-        future.result()
+    _run_ranges(arr.shape[0], strip, partial(_frei_chen_rows, padded, out, subset, strip))
     return ImageBuffer._from_array(out)
 
 

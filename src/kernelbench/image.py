@@ -7,10 +7,14 @@ magnitudes, unnormalized kernel sums) pass through without saturation.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import stat
 import tempfile
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextvars import ContextVar
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +36,75 @@ _STRIP_BYTES = 1 << 20
 def _strip_rows(arr: np.ndarray, buffers: int = 1) -> int:
     """Rows per strip when each of `buffers` strip buffers holds arr's rows."""
     return max(1, _STRIP_BYTES // (buffers * max(arr.strides[0], 1)))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
+def _row_ranges(h: int, strip: int) -> list[tuple[int, int]]:
+    """Contiguous ranges of h rows, one per usable CPU and at most one per strip of strip rows.
+
+    The ranges differ in length by at most one row, so each thread has about
+    the same work: whole strips would leave QVGA's 8 strips of 34 rows as
+    136 rows against 104. Each range runs its own strips from its first row.
+    """
+    count = min(_usable_cpus(), -(-h // strip))
+    bounds = [h * k // count for k in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+class _RunScope(NamedTuple):
+    """The worker pool and the padded-frame buffers, one per shape, of one pipeline.run call."""
+
+    pool: ThreadPoolExecutor
+    pads: dict
+
+
+# The scope of the pipeline.run call in progress in this context; None
+# outside a run. Pool threads start with an empty context, so they never see it.
+_RUN_SCOPE: ContextVar[_RunScope | None] = ContextVar("_RUN_SCOPE", default=None)
+
+
+@contextlib.contextmanager
+def _run_scope():
+    """Give the frame loop one worker pool and one pad buffer per shape for all its frames.
+
+    The pool has one worker per usable CPU after the first and starts its
+    threads on first use; leaving the block joins them.
+    """
+    with ThreadPoolExecutor(max(1, _usable_cpus() - 1)) as pool:
+        token = _RUN_SCOPE.set(_RunScope(pool, {}))
+        try:
+            yield
+        finally:
+            _RUN_SCOPE.reset(token)
+
+
+def _run_ranges(h: int, strip: int, rows_fn) -> None:
+    """Call rows_fn(y_start, y_end) once for each of _row_ranges(h, strip).
+
+    The calling thread runs the first range and a pool the others: the run's
+    pool inside pipeline.run, else one built for this call, whose threads end
+    with it. A one-range frame runs directly. Every range has ended before
+    any range's exception is raised.
+    """
+    first, *rest = _row_ranges(h, strip)
+    if not rest:
+        rows_fn(*first)
+        return
+    scope = _RUN_SCOPE.get()
+    with contextlib.ExitStack() as stack:
+        pool = scope.pool if scope else stack.enter_context(ThreadPoolExecutor(len(rest)))
+        futures = [pool.submit(rows_fn, *r) for r in rest]
+        try:
+            rows_fn(*first)
+        finally:
+            wait(futures)
+    for future in futures:
+        future.result()
 
 
 class PixelFormat(Enum):

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .image import ImageBuffer, _ieee_arithmetic, _strip_rows
+from .image import _RUN_SCOPE, ImageBuffer, _ieee_arithmetic, _strip_rows
 
 
 class BorderPolicy(Enum):
@@ -192,10 +192,31 @@ def _strip_grid(buf: np.ndarray, rows: int, pitch: int, w: int, channels: int) -
 
 
 def pad_samples(arr: np.ndarray, radius: int, border: BorderPolicy) -> np.ndarray:
-    """Pad a (h, w, c) sample array by radius rows/columns per a BorderPolicy, else TypeError."""
+    """Pad a (h, w, c) sample array by radius rows/columns per a BorderPolicy, else TypeError.
+
+    The result has the bits np.pad(..., mode=border.pad_mode) gives. Inside
+    pipeline.run it is the run's buffer for its shape, which the next pad of
+    that shape overwrites; outside a run it is a fresh array.
+    """
     if not isinstance(border, BorderPolicy):
         raise TypeError(f"border must be a BorderPolicy, got {type(border).__name__}")
-    return np.pad(arr, ((radius, radius), (radius, radius), (0, 0)), mode=border.pad_mode)
+    h, w, channels = arr.shape
+    r = radius
+    shape = (h + 2 * r, w + 2 * r, channels)
+    scope = _RUN_SCOPE.get()
+    pads = scope.pads if scope else {}
+    out = pads.get(shape)
+    if out is None:
+        out = pads[shape] = np.empty(shape)
+    out[r : r + h, r : r + w] = arr
+    # The side columns first, then whole rows, so the corners come from the
+    # edge columns just as np.pad's edge mode fills them.
+    clamp = border is BorderPolicy.CLAMP_TO_EDGE
+    out[r : r + h, :r] = arr[:, :1] if clamp else 0.0
+    out[r : r + h, r + w :] = arr[:, -1:] if clamp else 0.0
+    out[:r] = out[r : r + 1] if clamp else 0.0
+    out[r + h :] = out[r + h - 1 : r + h] if clamp else 0.0
+    return out
 
 
 @_ieee_arithmetic

@@ -21,7 +21,14 @@ import numpy as np
 
 from .detectors import FreiChenSubset, frei_chen, sobel_magnitude_rgb
 from .errors import EndOfStream, SizeError, UnsupportedFormat, _is_count, _is_real
-from .image import ImageBuffer, PixelFormat, _check_dimensions, decode_bytes, to_luminance
+from .image import (
+    ImageBuffer,
+    PixelFormat,
+    _check_dimensions,
+    _run_scope,
+    decode_bytes,
+    to_luminance,
+)
 from .shadergen import ChainSpec, execute_chain_reference
 
 DEFAULT_VSYNC_HZ = 60.0
@@ -318,7 +325,9 @@ def run(
     the grayscale conversion the Frei-Chen detector needs. The first
     `warmup` frames run at full cost but stay out of the report. If the
     source ends before all requested frames, the report covers the measured
-    frames and is flagged partial.
+    frames and is flagged partial. All frames share one worker pool for the
+    detectors' row ranges and one padded-frame buffer per shape; no pool
+    thread outlives the call, and every output is a fresh array.
 
     Args:
         source: frame provider.
@@ -340,18 +349,19 @@ def run(
         raise TypeError(f"work must be a ChainSpec or DetectorKind, got {type(work).__name__}")
     measured = []
     partial = False
-    for index in range(frames + warmup):
-        start = now()
-        try:
-            frame = next_frame(source, index)
-        except EndOfStream:
-            partial = True
-            break
-        acquired = now()
-        _process_frame(frame, work)
-        done = now()
-        if index >= warmup:
-            measured.append(
-                FrameStats(elapsed_ms(start, acquired), elapsed_ms(acquired, done))
-            )
+    with _run_scope():
+        for index in range(frames + warmup):
+            start = now()
+            try:
+                frame = next_frame(source, index)
+            except EndOfStream:
+                partial = True
+                break
+            acquired = now()
+            _process_frame(frame, work)
+            done = now()
+            if index >= warmup:
+                measured.append(
+                    FrameStats(elapsed_ms(start, acquired), elapsed_ms(acquired, done))
+                )
     return RunReport(measured, vsync_hz, partial)

@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import itertools
 import math
 import os
@@ -208,7 +210,7 @@ def test_frei_chen_scale_invariance():
 
 def _flat_windows(arr, border):
     """Pixels whose padded 3x3 window is finite and constant."""
-    padded = kernels.pad_samples(arr, 1, border)[:, :, 0]
+    padded = np.pad(arr[:, :, 0], 1, mode=border.pad_mode)
     h, w = arr.shape[0], arr.shape[1]
     flat = np.isfinite(arr[:, :, 0])
     for dy, dx in itertools.product(range(3), range(3)):
@@ -321,68 +323,85 @@ def test_fused_frei_chen_is_bit_identical_to_the_frame_sized_combine():
 
 
 def _use_cpus(monkeypatch, count):
-    """Make frei_chen see count usable CPUs."""
+    """Make the detectors see count usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-def _record_ranges(monkeypatch):
-    """Record the (y_start, y_end) and thread of each range frei_chen runs."""
+def _record_ranges(monkeypatch, name="_frei_chen_rows"):
+    """Record the (y_start, y_end) and thread of each range detectors.<name> runs."""
     calls = []
-    original = detectors._frei_chen_rows
+    original = getattr(detectors, name)
 
     def recording(*args):
         calls.append((args[-2:], threading.current_thread()))
         original(*args)
 
-    monkeypatch.setattr(detectors, "_frei_chen_rows", recording)
+    monkeypatch.setattr(detectors, name, recording)
     return calls
 
 
-def test_frei_chen_row_ranges_are_bit_identical_to_one_range(monkeypatch):
-    # A one-byte strip budget gives 3-row strips, so four usable CPUs split
-    # a 40-row frame into four ranges of whole strips, the last one short.
-    monkeypatch.setattr(image, "_STRIP_BYTES", 1)
-    _use_cpus(monkeypatch, 4)
-    h, w = 40, 23
-    strip = _frei_chen_strip_rows(w)
-    ranges = [(0, 9), (9, 21), (21, 30), (30, 40)]
-    assert strip == 3 and detectors._row_ranges(h, strip) == ranges
-    rng = np.random.default_rng(40)
-    arr = rng.standard_normal((h, w, 1))
-    # Around each range boundary b: inf, -inf and NaN in the rows on either
-    # side, a finite flat window and a flat window of -0.0 straddling it.
-    for b in (end for _, end in ranges[:-1]):
+def _split_calls(detect, calls, ranges):
+    """detect() with the ranges interleaved, checking where each range ran and that no thread is left."""
+    before = threading.active_count()
+    calls.clear()
+    # Switching threads as often as the interpreter allows, so the ranges
+    # interleave even on fewer cores than ranges.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = detect()
+    finally:
+        sys.setswitchinterval(interval)
+    # Each range runs once, the first on the caller's thread and every
+    # other one on a pool thread; an idle pool thread may take several.
+    assert sorted(rows for rows, _ in calls) == ranges
+    threads = dict(calls)
+    assert threads[ranges[0]] is threading.main_thread()
+    assert all(threads[rows] is not threading.main_thread() for rows in ranges[1:])
+    # No pool thread outlives the call.
+    assert threading.active_count() == before
+    return got
+
+
+def _specials_at_boundaries(arr, boundaries):
+    """Around each row boundary b: inf, -inf and NaN in the rows on either
+    side, a finite flat window and a flat window of -0.0 straddling it."""
+    for b in boundaries:
         arr[b - 1, 1], arr[b, 2], arr[b - 1, 4], arr[b, 5] = np.inf, -np.inf, np.nan, -0.0
         arr[b - 2 : b + 2, 8:13] = 0.35
         arr[b - 2 : b + 2, 15:20] = -0.0
+
+
+# 3-row strips split a 40-row frame into these ranges over two and four
+# usable CPUs; a range need not hold whole strips.
+_SPLITS = {2: [(0, 20), (20, 40)], 4: [(0, 10), (10, 20), (20, 30), (30, 40)]}
+_BOUNDARIES = (10, 20, 30)
+
+
+def test_frei_chen_row_ranges_are_bit_identical_to_one_range(monkeypatch):
+    # A one-byte strip budget gives Frei-Chen 3-row strips.
+    monkeypatch.setattr(image, "_STRIP_BYTES", 1)
+    h, w = 40, 23
+    strip = _frei_chen_strip_rows(w)
+    assert strip == 3
+    rng = np.random.default_rng(40)
+    arr = rng.standard_normal((h, w, 1))
+    _specials_at_boundaries(arr, _BOUNDARIES)
     calls = _record_ranges(monkeypatch)
-    before = threading.active_count()
     for subset, border in itertools.product(FreiChenSubset, BorderPolicy):
         _use_cpus(monkeypatch, 1)
         one = frei_chen(ImageBuffer(arr), subset, border).samples
-        _use_cpus(monkeypatch, 4)
-        calls.clear()
-        # Four ranges on fewer cores, switching threads as often as the
-        # interpreter allows, so the ranges interleave.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = frei_chen(ImageBuffer(arr), subset, border).samples
-        finally:
-            sys.setswitchinterval(interval)
-        # Each range runs once, the first on the caller's thread and every
-        # other one on a pool thread; an idle pool thread may take several.
-        assert sorted(rows for rows, _ in calls) == ranges
-        threads = dict(calls)
-        assert threads[ranges[0]] is threading.main_thread()
-        assert all(threads[rows] is not threading.main_thread() for rows in ranges[1:])
-        # No pool thread outlives the call.
-        assert threading.active_count() == before
-        # Same operations in the same order: the same bits, NaN payloads too.
-        assert got.tobytes() == one.tobytes()
+        for cpus, ranges in _SPLITS.items():
+            _use_cpus(monkeypatch, cpus)
+            assert image._row_ranges(h, strip) == ranges
+            got = _split_calls(
+                lambda: frei_chen(ImageBuffer(arr), subset, border).samples, calls, ranges
+            )
+            # Same operations in the same order: the same bits, NaN payloads too.
+            assert got.tobytes() == one.tobytes()
         want = _frei_chen_frame_sized(arr, subset, border)
         flat = _flat_windows(arr, border)
-        assert flat[[b for _, b in ranges[:-1]]].any()
+        assert flat[list(_BOUNDARIES)].any()
         assert np.all(got[flat] == 0.0) and not np.signbit(got[flat]).any()
         got, want = got[~flat], want[~flat]
         nan = np.isnan(want)
@@ -390,22 +409,70 @@ def test_frei_chen_row_ranges_are_bit_identical_to_one_range(monkeypatch):
         assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
-@pytest.mark.parametrize("where", ["worker", "caller"])
-def test_frei_chen_range_error_reaches_the_caller_after_every_range_ends(monkeypatch, where):
+def test_sobel_row_ranges_are_bit_identical_to_one_range(monkeypatch):
+    h, w = 40, 23
+    rng = np.random.default_rng(42)
+    calls = _record_ranges(monkeypatch, "_sobel_rows")
+    for channels, border in itertools.product((1, 3), BorderPolicy):
+        # A budget of three rows of the four strip buffers gives 3-row strips.
+        monkeypatch.setattr(image, "_STRIP_BYTES", 3 * 4 * w * channels * 8)
+        arr = rng.standard_normal((h, w, channels))
+        _specials_at_boundaries(arr, _BOUNDARIES)
+        detect = sobel_magnitude if channels == 1 else sobel_magnitude_rgb
+        _use_cpus(monkeypatch, 1)
+        one = detect(ImageBuffer(arr), border).samples
+        for cpus, ranges in _SPLITS.items():
+            _use_cpus(monkeypatch, cpus)
+            assert image._row_ranges(h, image._strip_rows(arr, buffers=4)) == ranges
+            got = _split_calls(lambda: detect(ImageBuffer(arr), border).samples, calls, ranges)
+            assert got.tobytes() == one.tobytes()
+        want = _sobel_tap_loop(arr, border)
+        got = got[:, :, 0]
+        assert np.isnan(want).any() and np.array_equal(got, want, equal_nan=True)
+        numbers = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+
+def _check_range_error(monkeypatch, where, detect, rows_name, fault_name):
+    """A fault in the caller's or a worker's range reaches the caller only
+    after every range has ended, on a pool of the call's own or the run's."""
     monkeypatch.setattr(image, "_STRIP_BYTES", 1)
     _use_cpus(monkeypatch, 3)
-    original = detectors._flat_windows
+    rows, fault = getattr(detectors, rows_name), getattr(detectors, fault_name)
+    ended = []
 
-    def failing(band):
+    def recording(*args):
+        try:
+            rows(*args)
+        finally:
+            ended.append(args[-2:])
+
+    def failing(*args, **kwargs):
         if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
             raise RuntimeError(f"fault in the {where}")
-        return original(band)
+        return fault(*args, **kwargs)
 
-    monkeypatch.setattr(detectors, "_flat_windows", failing)
+    monkeypatch.setattr(detectors, rows_name, recording)
+    monkeypatch.setattr(detectors, fault_name, failing)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"fault in the {where}"):
-        frei_chen(ImageBuffer(np.zeros((30, 9, 1))), FreiChenSubset.EDGE)
-    assert threading.active_count() == before
+    for scope in (contextlib.nullcontext(), image._run_scope()):
+        ended.clear()
+        with scope:
+            with pytest.raises(RuntimeError, match=f"fault in the {where}"):
+                detect(ImageBuffer(np.zeros((30, 9, 1))))
+            assert len(ended) == 3
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_frei_chen_range_error_reaches_the_caller_after_every_range_ends(monkeypatch, where):
+    detect = functools.partial(frei_chen, subset=FreiChenSubset.EDGE)
+    _check_range_error(monkeypatch, where, detect, "_frei_chen_rows", "_flat_windows")
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_sobel_range_error_reaches_the_caller_after_every_range_ends(monkeypatch, where):
+    _check_range_error(monkeypatch, where, sobel_magnitude, "_sobel_rows", "_combine_gradients")
 
 
 def test_frei_chen_runs_one_range_on_one_cpu(monkeypatch):
@@ -420,8 +487,24 @@ def test_small_frei_chen_frames_stay_one_range(monkeypatch):
     # Starting a thread would cost more than these frames' second range saves.
     _use_cpus(monkeypatch, 2)
     for side in (64, 96, 128):
-        assert detectors._row_ranges(side, _frei_chen_strip_rows(side)) == [(0, side)]
-    assert len(detectors._row_ranges(480, _frei_chen_strip_rows(640))) == 2
+        assert image._row_ranges(side, _frei_chen_strip_rows(side)) == [(0, side)]
+    assert len(image._row_ranges(480, _frei_chen_strip_rows(640))) == 2
+
+
+def test_one_range_frames_build_no_executor(monkeypatch):
+    # The batch CLI's small images run directly on the caller's thread.
+    _use_cpus(monkeypatch, 2)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-range frame built an executor")
+
+    monkeypatch.setattr(image, "ThreadPoolExecutor", no_pool)
+    rng = np.random.default_rng(43)
+    for side in (64, 96):
+        gray = ImageBuffer(rng.random((side, side, 1)))
+        frei_chen(gray, FreiChenSubset.EDGE_AND_LINE)
+        sobel_magnitude(gray)
+        sobel_magnitude_rgb(ImageBuffer(rng.random((side, side, 3))))
 
 
 def test_detectors_agree_with_the_independent_references():

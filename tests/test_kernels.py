@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from kernelbench import kernels
+from kernelbench import image, kernels
 from kernelbench import (
     FREI_CHEN,
     SOBEL_GX,
@@ -170,7 +170,8 @@ def _correlate_strided(arr, coefficients, border, normalize):
     """correlate as it ran before strips took the padded pitch: each tap reads
     a row-strided (h, w, c) view, with the same tap order and unit-weight rules."""
     h, w = arr.shape[0], arr.shape[1]
-    padded = kernels.pad_samples(arr, coefficients.shape[0] // 2, border)
+    r = coefficients.shape[0] // 2
+    padded = np.pad(arr, ((r, r), (r, r), (0, 0)), mode=border.pad_mode)
 
     def accumulate(taps, dest):
         views = [(padded[dy : dy + h, dx : dx + w], weight) for dy, dx, weight in taps]
@@ -222,7 +223,8 @@ def test_pitch_layout_matches_strided_taps():
         picks = rng.random(flat.size) < 0.2
         flat[picks] = rng.choice(specials, size=int(picks.sum()))
         for border, normalize in itertools.product(BorderPolicy, (False, True)):
-            padded = kernels.pad_samples(arr, k.shape[0] // 2, border)
+            r = k.shape[0] // 2
+            padded = np.pad(arr, ((r, r), (r, r), (0, 0)), mode=border.pad_mode)
             assert kernels._strip_rows(padded, buffers=3) < shape[0]
             got = correlate(ImageBuffer(arr), Kernel(k), border, normalize).samples
             want = _correlate_strided(arr, k, border, normalize)
@@ -231,6 +233,37 @@ def test_pitch_layout_matches_strided_taps():
             # NaN bits may differ only where two NaNs meet: numpy's contiguous
             # and strided loops return different operands of NaN + NaN.
             assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_pad_samples_is_byte_identical_to_np_pad():
+    # A quiet NaN with a payload, so a copy that rebuilt NaNs would show.
+    payload_nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]
+    specials = np.array([np.nan, payload_nan, np.inf, -np.inf, -0.0])
+    rng = np.random.default_rng(41)
+    shapes = [(1, 1), (1, 5), (4, 1), (2, 3), (7, 6)]
+    cases = list(itertools.product(range(4), BorderPolicy, (1, 3), shapes))
+
+    def check():
+        for radius, border, channels, (h, w) in cases:
+            arr = rng.standard_normal((h, w, channels))
+            # Specials on every edge and corner, and inside.
+            for y, x in ((0, 0), (-1, -1), (0, -1), (-1, 0), (h // 2, w // 2)):
+                arr[y, x] = rng.choice(specials, size=channels)
+            got = kernels.pad_samples(arr, radius, border)
+            want = np.pad(arr, ((radius,) * 2, (radius,) * 2, (0, 0)), mode=border.pad_mode)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    check()
+    # Inside a run every shape reuses one buffer: the second pass overwrites
+    # what the first left there.
+    with image._run_scope():
+        check()
+        check()
+        assert kernels.pad_samples(np.zeros((2, 3, 1)), 1, BorderPolicy.ZERO_PAD) is (
+            kernels.pad_samples(np.ones((2, 3, 1)), 1, BorderPolicy.CLAMP_TO_EDGE)
+        )
+    a, b = (kernels.pad_samples(np.zeros((2, 3, 1)), 1, BorderPolicy.ZERO_PAD) for _ in range(2))
+    assert not np.shares_memory(a, b)
 
 
 def test_correlation_is_linear():

@@ -1,9 +1,13 @@
+import itertools
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from kernelbench import image, pipeline
 from kernelbench import (
     ChainPass,
     ChainSpec,
@@ -19,11 +23,15 @@ from kernelbench import (
     SizeError,
     SyntheticSource,
     clock_resolution_ms,
+    execute_chain_reference,
+    frei_chen,
     elapsed_ms,
     encode_bytes,
     next_frame,
     now,
     run,
+    sobel_magnitude_rgb,
+    to_luminance,
 )
 
 IDENTITY_CHAIN = ChainSpec((ChainPass(Kernel([[0, 0, 0], [0, 1, 0], [0, 0, 0]])),))
@@ -269,3 +277,86 @@ def test_run_argument_validation():
             run(src, "sobel", frames=1, vsync_hz=vsync)
     with pytest.raises(TypeError):
         run(src, "sobel", frames=1)
+
+
+def _split_every_frame(monkeypatch):
+    """One-row strips and four usable CPUs, so every detector frame runs several ranges."""
+    monkeypatch.setattr(image, "_STRIP_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+
+
+BOX_CHAIN = ChainSpec((ChainPass(Kernel(np.ones((3, 3))), normalize=True, repeat=2),))
+
+
+def test_run_builds_one_pool_and_leaves_no_thread(monkeypatch):
+    _split_every_frame(monkeypatch)
+    built, submitted = [], []
+
+    class Counting(image.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            submitted.append(self)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(image, "ThreadPoolExecutor", Counting)
+    before = threading.active_count()
+    for work in DetectorKind:
+        built.clear()
+        submitted.clear()
+        run(SyntheticSource(24, 18), work, frames=3, warmup=1)
+        # Four frames of three worker ranges each, all on the run's one pool.
+        assert len(built) == 1 and submitted == built * 12
+        assert threading.active_count() == before
+
+
+def test_run_scope_is_unset_after_run_returns_or_raises(monkeypatch):
+    seen = []
+    process = pipeline._process_frame
+
+    def recording(frame, work):
+        seen.append(image._RUN_SCOPE.get())
+        if len(seen) == 2:
+            raise RuntimeError("fault in frame 1")
+        return process(frame, work)
+
+    monkeypatch.setattr(pipeline, "_process_frame", recording)
+    assert image._RUN_SCOPE.get() is None
+    with pytest.raises(RuntimeError, match="fault in frame 1"):
+        run(SyntheticSource(8, 8), DetectorKind.SOBEL, frames=3)
+    assert seen[0] is not None and seen[1] is seen[0]
+    assert image._RUN_SCOPE.get() is None
+    run(SyntheticSource(8, 8), DetectorKind.SOBEL, frames=1)
+    assert seen[2] is not None and seen[2] is not seen[0]
+    assert image._RUN_SCOPE.get() is None
+
+
+def test_run_outputs_are_fresh_and_match_direct_calls(monkeypatch):
+    # A caller may keep every frame's output, so no two may share memory,
+    # and reusing the run's pad buffer must not change a bit.
+    _split_every_frame(monkeypatch)
+    source = SyntheticSource(24, 18)
+    cases = (
+        ("sobel_magnitude_rgb", DetectorKind.SOBEL, sobel_magnitude_rgb),
+        ("frei_chen", DetectorKind.FREI_CHEN,
+         lambda frame: frei_chen(to_luminance(frame), pipeline.PIPELINE_FREI_CHEN_SUBSET)),
+        ("execute_chain_reference", BOX_CHAIN,
+         lambda frame: execute_chain_reference(frame, BOX_CHAIN)),
+    )
+    for attr, work, direct in cases:
+        outputs = []
+        original = getattr(pipeline, attr)
+
+        def keep(*args, _original=original, **kwargs):
+            outputs.append(_original(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(pipeline, attr, keep)
+        run(source, work, frames=3)
+        assert len(outputs) == 3
+        for a, b in itertools.combinations(outputs, 2):
+            assert not np.shares_memory(a.samples, b.samples)
+        for index, out in enumerate(outputs):
+            assert out.samples.tobytes() == direct(next_frame(source, index)).samples.tobytes()

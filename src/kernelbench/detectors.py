@@ -66,15 +66,13 @@ class FreiChenSubset(Enum):
         return range(0, 8)
 
 
-def _combine_gradients(gx, gy, out: np.ndarray, scratch: np.ndarray) -> None:
-    """out = max over channels of hypot(gx, gy), the Sobel channel combine.
+def _channel_max(magnitude: np.ndarray, out: np.ndarray) -> None:
+    """out = max over the channels of the (n, w, c) magnitude, the Sobel channel combine.
 
-    hypot writes into scratch, which may be gx itself. The max
-    is one np.maximum per extra channel on the channel views, which numpy
-    runs far faster than np.max over a 3-wide inner axis. Both give the same
-    value; only where several channels are NaN may they keep different NaNs.
+    The max is one np.maximum per extra channel on the channel views, which
+    numpy runs far faster than np.max over a 3-wide inner axis. Both give the
+    same value; only where several channels are NaN may they keep different NaNs.
     """
-    magnitude = np.hypot(gx, gy, out=scratch)
     if magnitude.shape[2] == 1:
         np.copyto(out, magnitude[:, :, 0])
         return
@@ -92,53 +90,44 @@ def _sobel_rows(padded: np.ndarray, out: np.ndarray, strip: int, y_start: int, y
     gy = t[:, x+1] - t[:, x-1]. Each sum is formed as (2 * centre + left or
     top) + right or bottom, the order in which the tap loop accumulates each
     sign group of SOBEL_GX and SOBEL_GY, so the result is bit-identical to
-    correlating with the two masks. The four strip buffers stay
-    cache-resident at any frame size. Like _frei_chen_rows, each call has its
-    own buffers and writes only its own rows of out, and carries
-    _ieee_arithmetic itself because a new thread does not inherit numpy's
-    error state.
+    correlating with the two masks. The sums and gradients are laid out on
+    the padded row pitch (_strip_grid), so each pass reads contiguous slices
+    of the padded frame; t reuses the buffer of s once gx has read it. Each
+    call is one row range of _run_ranges.
     """
+    channels = padded.shape[2]
+    pitch = padded.shape[1] * channels
     w = padded.shape[1] - 2
-    n0 = min(strip, y_end - y_start)
-    rows = np.empty((n0 + 2, w) + padded.shape[2:])
-    cols = np.empty((n0,) + padded.shape[1:])
-    gx = np.empty((n0, w) + padded.shape[2:])
-    gy = np.empty_like(gx)
+    flat = padded.reshape(-1)
+    sums, gx, gy = np.empty((3, (min(strip, y_end - y_start) + 2) * pitch))
     for y0 in range(y_start, y_end, strip):
-        y1 = min(y0 + strip, y_end)
-        n = y1 - y0
-        band = padded[y0 : y1 + 2]
-        s = rows[: n + 2]
-        np.multiply(band[:, 1 : w + 1], 2.0, out=s)
-        s += band[:, :w]
-        s += band[:, 2:]
-        np.subtract(s[2:], s[:n], out=gx[:n])
-        t = cols[:n]
-        np.multiply(band[1 : n + 1], 2.0, out=t)
-        t += band[:n]
-        t += band[2:]
-        np.subtract(t[:, 2:], t[:, :w], out=gy[:n])
-        _combine_gradients(gx[:n], gy[:n], out[y0:y1], scratch=gx[:n])
+        rows = min(strip, y_end - y0)
+        size = (rows - 1) * pitch + w * channels
+        source = flat[y0 * pitch :][: (rows + 2) * pitch]
+        # First s and gx, then t and gy: a [1 2 1] sum with a step of `across`,
+        # then the difference of two sums two steps of `down` apart.
+        for across, down, gradient in ((channels, pitch, gx), (pitch, channels, gy)):
+            s = sums[: size + 2 * down]
+            np.multiply(source[across:][: s.size], 2.0, out=s)
+            s += source[: s.size]
+            s += source[2 * across :][: s.size]
+            np.subtract(s[2 * down :], s[:size], out=gradient[:size])
+        np.hypot(gx[:size], gy[:size], out=gx[:size])
+        _channel_max(_strip_grid(gx, rows, pitch, w, channels), out[y0 : y0 + rows, :, 0])
 
 
-def _sobel_samples(arr: np.ndarray, border: BorderPolicy) -> np.ndarray:
+def _sobel(image: ImageBuffer, border: BorderPolicy) -> ImageBuffer:
     """Per-channel Sobel magnitude reduced with max over channels.
 
     The frame is padded once, then its strips run as row ranges (_run_ranges)
     of _sobel_rows. Each pixel gets the same operations in the same order in
     any range, so the split does not change the output.
     """
-    h, w = arr.shape[0], arr.shape[1]
-    padded = pad_samples(arr, 1, border)
-    out = np.empty((h, w))
-    strip = _strip_rows(arr, buffers=4)
-    _run_ranges(h, strip, partial(_sobel_rows, padded, out, strip))
-    return out
-
-
-def _sobel(image: ImageBuffer, border: BorderPolicy) -> ImageBuffer:
-    out = _sobel_samples(image.samples, border)
-    return ImageBuffer._from_array(out.reshape(out.shape + (1,)))
+    padded = pad_samples(image.samples, 1, border)
+    out = np.empty((image.height, image.width, 1))
+    strip = _strip_rows(padded, buffers=3)
+    _run_ranges(image.height, strip, partial(_sobel_rows, padded, out, strip))
+    return ImageBuffer._from_array(out)
 
 
 def sobel_magnitude(
@@ -215,10 +204,7 @@ def _frei_chen_rows(
 ) -> None:
     """Write output rows [y_start, y_end) of frei_chen into out, strip by strip.
 
-    Each call allocates its own strip buffers, bands and tap plans and writes
-    only its own rows of out, so calls on disjoint row ranges may run in
-    parallel threads. A new thread does not inherit numpy's error state, so
-    this function carries _ieee_arithmetic itself.
+    One row range of _run_ranges, with strip buffers, bands and tap plans of its own.
     """
     pitch = padded.shape[1]
     w = pitch - 2

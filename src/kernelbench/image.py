@@ -89,7 +89,9 @@ def _run_ranges(h: int, strip: int, rows_fn) -> None:
     The calling thread runs the first range and a pool the others: the run's
     pool inside pipeline.run, else one built for this call, whose threads end
     with it. A one-range frame runs directly. Every range has ended before
-    any range's exception is raised.
+    any range's exception is raised. So that ranges may run at once, rows_fn
+    allocates its own strip buffers, writes only its own rows, and carries
+    _ieee_arithmetic itself: a new thread does not inherit numpy's error state.
     """
     first, *rest = _row_ranges(h, strip)
     if not rest:
@@ -189,8 +191,12 @@ def decode_bytes(data, width: int, height: int, fmt: PixelFormat) -> ImageBuffer
     Raises:
         SizeError: if width or height is not an integer of at least 1, or the
             byte count does not match width*height*channels.
+        TypeError: if data is not bytes-like or fmt not a PixelFormat.
     """
     _check_dimensions(width, height)
+    if not isinstance(fmt, PixelFormat):
+        raise TypeError(f"fmt must be a PixelFormat, got {type(fmt).__name__}")
+    memoryview(data)  # TypeError unless bytes-like; bytes(data) would take an int as a length
     raw = bytes(data)
     expected = width * height * fmt.channels
     if len(raw) != expected:
@@ -215,7 +221,10 @@ def encode_bytes(image: ImageBuffer, fmt: PixelFormat) -> bytes:
     Raises:
         FormatError: if the image's channel count does not match the format.
         RangeError: if a sample is NaN, which has no byte value.
+        TypeError: if fmt is not a PixelFormat.
     """
+    if not isinstance(fmt, PixelFormat):
+        raise TypeError(f"fmt must be a PixelFormat, got {type(fmt).__name__}")
     if image.channels != fmt.channels:
         raise FormatError(
             f"image has {image.channels} channel(s), {fmt.name} needs {fmt.channels}"

@@ -153,16 +153,6 @@ def _accumulate(views, dest, scratch):
             dest += scratch
 
 
-def _tap_views(flat, taps, base, pitch, channels, size):
-    """The (view, weight) pair of each tap of one row strip.
-
-    flat is the padded sample array as one vector, so tap (dy, dx) reads the
-    contiguous slice of flat that starts dy rows and dx pixels after base.
-    """
-    starts = [(base + dy * pitch + dx * channels, weight) for dy, dx, weight in taps]
-    return [(flat[start : start + size], weight) for start, weight in starts]
-
-
 def _stencil_strip(pos, neg, out, scratch, acc):
     """Correlate one row strip into out from the (view, weight) pairs of each sign group."""
     if pos and neg:
@@ -245,7 +235,10 @@ def correlate(
     padded = pad_samples(arr, kernel.side // 2, border)
     flat = padded.reshape(-1)
     pitch = padded.shape[1] * channels
-    pos, neg = _split_taps(kernel.coefficients)
+    # Tap (dy, dx) of a strip reads the slice of flat that starts dy rows and
+    # dx pixels after the strip's first padded sample.
+    taps = _split_taps(kernel.coefficients)
+    pos, neg = ([(dy * pitch + dx * channels, c) for dy, dx, c in group] for group in taps)
     weight = float(kernel.coefficients.sum())
     if weight <= 0.0:
         weight = 1.0
@@ -258,7 +251,8 @@ def correlate(
     for y0 in range(0, h, strip):
         rows = min(strip, h - y0)
         size = (rows - 1) * pitch + w * channels
-        views = (_tap_views(flat, taps, y0 * pitch, pitch, channels, size) for taps in (pos, neg))
+        base = y0 * pitch
+        views = ([(flat[base + o : base + o + size], c) for o, c in taps] for taps in (pos, neg))
         _stencil_strip(*views, result[:size], scratch[:size], acc[:size])
         grid = _strip_grid(result, rows, pitch, w, channels)
         if normalize:

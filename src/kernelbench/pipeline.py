@@ -79,7 +79,11 @@ class FramePattern(Enum):
 
 @dataclass(frozen=True)
 class SyntheticSource:
-    """Deterministic RGB frame generator; the seed offsets the phase."""
+    """Deterministic RGB frame generator; the seed, any integer, offsets the phase.
+
+    Raises SizeError for a bad width or height, and TypeError for a pattern
+    that is not a FramePattern or a seed that is not an integer (or is a bool).
+    """
 
     width: int
     height: int
@@ -88,6 +92,10 @@ class SyntheticSource:
 
     def __post_init__(self) -> None:
         _check_dimensions(self.width, self.height)
+        if not isinstance(self.pattern, FramePattern):
+            raise TypeError(f"pattern must be a FramePattern, got {type(self.pattern).__name__}")
+        if not _is_count(self.seed, minimum=-math.inf):
+            raise TypeError(f"seed must be an integer, got {type(self.seed).__name__}")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from kernelbench import (
     ChainPass,
     DetectorKind,
     FormatError,
+    FramePattern,
     FrameStats,
     ImageBuffer,
     PixelFormat,
@@ -31,6 +32,7 @@ from kernelbench import (
     UnsupportedFormat,
     correlate,
     decode_bytes,
+    encode_bytes,
     frei_chen,
     next_frame,
     read_pnm,
@@ -173,12 +175,24 @@ BAD_INPUTS = [
     ("correlate-border-string", lambda tmp: correlate(GRAY, SOBEL_GX, "clamp"), TypeError),
     ("frei-chen-subset-string", lambda tmp: frei_chen(GRAY, "edge"), TypeError),
     ("next-frame-path-string", lambda tmp: next_frame(_raw_file(tmp), 0), TypeError),
+    ("synthetic-pattern-string",
+     lambda tmp: SyntheticSource(4, 3, pattern="moving-gradient"), TypeError),
+    ("synthetic-seed-float", lambda tmp: SyntheticSource(4, 3, seed=0.5), TypeError),
+    ("synthetic-seed-bool", lambda tmp: SyntheticSource(4, 3, seed=True), TypeError),
+    # Pixel data is bytes-like: an int is not a count of zero bytes.
+    ("decode-data-int", lambda tmp: decode_bytes(5, 5, 1, GRAY8), TypeError),
+    ("decode-data-list", lambda tmp: decode_bytes([0, 0], 2, 1, GRAY8), TypeError),
+    ("decode-format-string", lambda tmp: decode_bytes(bytes(2), 2, 1, "gray8"), TypeError),
+    ("encode-format-string", lambda tmp: encode_bytes(GRAY, "gray8"), TypeError),
     # The work is checked before the first frame: this source has none left.
     ("run-work-string", lambda tmp: run(_emptied_raw_source(tmp), "sobel", frames=1), TypeError),
 ]
 
 ACCEPTED = [
     ("synthetic-numpy-width", lambda tmp: SyntheticSource(np.int64(2), 1)),
+    ("synthetic-negative-seed",
+     lambda tmp: next_frame(SyntheticSource(4, 3, FramePattern.CHECKERBOARD, seed=-5), 0)),
+    ("synthetic-numpy-seed", lambda tmp: next_frame(SyntheticSource(4, 3, seed=np.int64(-1)), 2)),
     ("chainpass-numpy-repeat", lambda tmp: ChainPass(SOBEL_GX, repeat=np.int64(2))),
     ("run-numpy-frames", lambda tmp: run(SOURCE, SOBEL, frames=np.int64(1), warmup=np.int64(0))),
 ]

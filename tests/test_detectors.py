@@ -88,6 +88,11 @@ def test_sobel_rgb_single_channel_edge_matches_gray():
     np.testing.assert_array_equal(combined, red_only)
 
 
+def _sobel_strip_rows(w, channels):
+    """Rows per strip of the Sobel loop on a w-wide image, whose padded rows are w + 2 wide."""
+    return image._strip_rows(np.empty((1, w + 2, channels)), buffers=3)
+
+
 def _sobel_tap_loop(arr, border):
     """The Sobel magnitude as the tap loop computed it before the separable form."""
     image = ImageBuffer(arr)
@@ -99,9 +104,9 @@ def _sobel_tap_loop(arr, border):
 def test_separable_sobel_is_bit_identical_to_the_tap_loop():
     rng = np.random.default_rng(34)
     specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
-    wide = (13, 2048)
+    wide = (17, 2048)
     # The wide image must span several strips of the fused loop.
-    assert kernels._strip_rows(np.empty(wide + (3,)), buffers=4) < wide[0] // 2
+    assert _sobel_strip_rows(wide[1], 3) < wide[0] // 2
     shapes = [(1, 1), (1, 9), (9, 1), wide]
     shapes += [tuple(int(n) for n in rng.integers(1, 40, size=2)) for _ in range(12)]
     cases = itertools.product(shapes, (1, 3), BorderPolicy, (False, True))
@@ -111,7 +116,8 @@ def test_separable_sobel_is_bit_identical_to_the_tap_loop():
             flat = arr.reshape(-1)
             picks = rng.random(flat.size) < 0.2
             flat[picks] = rng.choice(specials, size=int(picks.sum()))
-        got = detectors._sobel_samples(arr, border)
+        detect = sobel_magnitude if channels == 1 else sobel_magnitude_rgb
+        got = detect(ImageBuffer(arr), border).samples[:, :, 0]
         want = _sobel_tap_loop(arr, border)
         # np.max and pairwise np.maximum may keep different NaNs where
         # several channels are NaN, so NaN compares without its sign.
@@ -414,16 +420,22 @@ def test_sobel_row_ranges_are_bit_identical_to_one_range(monkeypatch):
     rng = np.random.default_rng(42)
     calls = _record_ranges(monkeypatch, "_sobel_rows")
     for channels, border in itertools.product((1, 3), BorderPolicy):
-        # A budget of three rows of the four strip buffers gives 3-row strips.
-        monkeypatch.setattr(image, "_STRIP_BYTES", 3 * 4 * w * channels * 8)
+        # A budget of three padded rows of the three strip buffers gives 3-row strips.
+        monkeypatch.setattr(image, "_STRIP_BYTES", 3 * 3 * (w + 2) * channels * 8)
+        assert _sobel_strip_rows(w, channels) == 3
         arr = rng.standard_normal((h, w, channels))
         _specials_at_boundaries(arr, _BOUNDARIES)
+        # On the padded pitch, the last column of one row and the first of
+        # the next are flat-index neighbours across the two padding columns.
+        for b in _BOUNDARIES:
+            arr[b - 2 : b + 2, 0] = np.array([np.inf, -np.inf, np.nan, -0.0])[:, np.newaxis]
+            arr[b - 2 : b + 2, -1] = np.array([-0.0, np.nan, -np.inf, np.inf])[:, np.newaxis]
         detect = sobel_magnitude if channels == 1 else sobel_magnitude_rgb
         _use_cpus(monkeypatch, 1)
         one = detect(ImageBuffer(arr), border).samples
         for cpus, ranges in _SPLITS.items():
             _use_cpus(monkeypatch, cpus)
-            assert image._row_ranges(h, image._strip_rows(arr, buffers=4)) == ranges
+            assert image._row_ranges(h, _sobel_strip_rows(w, channels)) == ranges
             got = _split_calls(lambda: detect(ImageBuffer(arr), border).samples, calls, ranges)
             assert got.tobytes() == one.tobytes()
         want = _sobel_tap_loop(arr, border)
@@ -472,7 +484,7 @@ def test_frei_chen_range_error_reaches_the_caller_after_every_range_ends(monkeyp
 
 @pytest.mark.parametrize("where", ["worker", "caller"])
 def test_sobel_range_error_reaches_the_caller_after_every_range_ends(monkeypatch, where):
-    _check_range_error(monkeypatch, where, sobel_magnitude, "_sobel_rows", "_combine_gradients")
+    _check_range_error(monkeypatch, where, sobel_magnitude, "_sobel_rows", "_channel_max")
 
 
 def test_frei_chen_runs_one_range_on_one_cpu(monkeypatch):

@@ -1,9 +1,12 @@
-"""A traced pnm-batch run of the benchmark, as a smoke test of the CLI's call graph.
+"""Traced zero-second runs of the benchmark, as a smoke test of the library's call graph.
 
 perfbench's tracer wraps every library function that ``cli`` imports and
-checks each job's wrapped call counts. A CLI change that calls a library
-function through a reference taken before the wrapping (a cached parser that
-stored ``type=parse_kernel``, for example) hides that call and fails the run.
+checks each item's output against its oracle and its wrapped call counts. A
+CLI change that calls a library function through a reference taken before the
+wrapping (a cached parser that stored ``type=parse_kernel``, for example)
+hides that call and fails the pnm-batch run. The two detector workloads pin
+the detectors' output and their calls per frame, such as one
+``kernels.pad_samples`` per frame, through the row-range runner.
 """
 
 import json
@@ -11,12 +14,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_pnm_batch_run_is_correct():
+@pytest.mark.parametrize("workload", ["pnm-batch", "sobel-1080p", "freichen-raw-vga"])
+def test_traced_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "pnm-batch",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

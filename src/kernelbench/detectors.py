@@ -31,23 +31,6 @@ _FREI_CHEN_MAGNITUDES = tuple(
     sorted({weight for taps in _FREI_CHEN_TAPS for group in taps for _, _, weight in group})
 )
 
-# Strip buffers of the fused Frei-Chen loop, all counted against the strip
-# budget: the response, the negative-tap accumulator, M, S and the bands.
-_FREI_CHEN_BUFFERS = 4 + len(_FREI_CHEN_MAGNITUDES)
-
-
-def _frei_chen_strip_rows(padded: np.ndarray) -> int:
-    """Rows per Frei-Chen strip: three times the strip budget's share.
-
-    With the budget's own strips (22 rows at VGA) each numpy call takes about
-    7 us, about the cost of a GIL hand-off, so two row ranges ran slower than
-    one. Per frei_chen on the VGA clip's luminance frames (2-core Xeon), with
-    strips of 1x, 2x, 3x, 4x and 6x the budget's rows: two ranges took 21.6,
-    13.0-14.9, 12.3-13.6, 13.6 and 15.4 ms; one range took 17.0-20.3 ms at 1x
-    and 15.8-18.8 ms at 3x. At VGA a range's strip buffers take about 3 MB.
-    """
-    return 3 * _strip_rows(padded, buffers=_FREI_CHEN_BUFFERS)
-
 
 class FreiChenSubset(Enum):
     """Which masks contribute to the Frei-Chen numerator."""
@@ -125,7 +108,7 @@ def _sobel(image: ImageBuffer, border: BorderPolicy) -> ImageBuffer:
     """
     padded = pad_samples(image.samples, 1, border)
     out = np.empty((image.height, image.width, 1))
-    strip = _strip_rows(padded, buffers=3)
+    strip = _strip_rows(padded)
     _run_ranges(image.height, strip, partial(_sobel_rows, padded, out, strip))
     return ImageBuffer._from_array(out)
 
@@ -290,7 +273,7 @@ def frei_chen(
     arr = image.samples
     padded = pad_samples(arr, 1, border)
     out = np.empty_like(arr)
-    strip = _frei_chen_strip_rows(padded)
+    strip = _strip_rows(padded)
     _run_ranges(arr.shape[0], strip, partial(_frei_chen_rows, padded, out, subset, strip))
     return ImageBuffer._from_array(out)
 

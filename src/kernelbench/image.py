@@ -25,17 +25,16 @@ from .errors import FormatError, RangeError, SizeError, UnsupportedFormat, _is_c
 # so numpy does not warn about them. Use it only as a decorator (reentrant).
 _ieee_arithmetic = np.errstate(over="ignore", invalid="ignore")
 
-# Output is produced in strips whose buffers together take roughly this many
-# bytes, so the working set stays cache-resident at any resolution; per-pixel
-# cost then scales linearly with pixel count instead of degrading once frames
-# outgrow the cache. The stencil engines and the colour and codec stages below
-# share this one budget.
-_STRIP_BYTES = 1 << 20
+# Every strip loop works in strips of the rows of the array it reads that fit
+# in this many bytes, so each strip buffer stays cache-resident at any
+# resolution; per-pixel cost then scales linearly with pixel count instead of
+# degrading once frames outgrow the cache.
+_STRIP_BYTES = (1 << 20) // 3
 
 
-def _strip_rows(arr: np.ndarray, buffers: int = 1) -> int:
-    """Rows per strip when each of `buffers` strip buffers holds arr's rows."""
-    return max(1, _STRIP_BYTES // (buffers * max(arr.strides[0], 1)))
+def _strip_rows(arr: np.ndarray) -> int:
+    """Rows per strip of a loop that reads arr: the rows of arr that fit in _STRIP_BYTES."""
+    return max(1, _STRIP_BYTES // max(arr.strides[0], 1))
 
 
 def _usable_cpus() -> int:
@@ -48,8 +47,8 @@ def _row_ranges(h: int, strip: int) -> list[tuple[int, int]]:
     """Contiguous ranges of h rows, one per usable CPU and at most one per strip of strip rows.
 
     The ranges differ in length by at most one row, so each thread has about
-    the same work: whole strips would leave QVGA's 8 strips of 34 rows as
-    136 rows against 104. Each range runs its own strips from its first row.
+    the same work: whole strips would leave QVGA RGB Sobel's 6 strips of 45
+    rows as 135 rows against 105. Each range runs its own strips from its first row.
     """
     count = min(_usable_cpus(), -(-h // strip))
     bounds = [h * k // count for k in range(count + 1)]
@@ -191,12 +190,16 @@ def decode_bytes(data, width: int, height: int, fmt: PixelFormat) -> ImageBuffer
     Raises:
         SizeError: if width or height is not an integer of at least 1, or the
             byte count does not match width*height*channels.
-        TypeError: if data is not bytes-like or fmt not a PixelFormat.
+        TypeError: if data is not bytes-like with one-byte items, or fmt not
+            a PixelFormat.
     """
     _check_dimensions(width, height)
     if not isinstance(fmt, PixelFormat):
         raise TypeError(f"fmt must be a PixelFormat, got {type(fmt).__name__}")
-    memoryview(data)  # TypeError unless bytes-like; bytes(data) would take an int as a length
+    # memoryview raises TypeError unless data is bytes-like; bytes(data) would
+    # take an int as a length. Wider items, such as a float array's, are samples.
+    if memoryview(data).itemsize != 1:
+        raise TypeError(f"data must hold one byte per item, got {type(data).__name__}")
     raw = bytes(data)
     expected = width * height * fmt.channels
     if len(raw) != expected:
@@ -231,8 +234,7 @@ def encode_bytes(image: ImageBuffer, fmt: PixelFormat) -> bytes:
         )
     s = image.samples
     packed = np.empty(s.shape, dtype=np.uint8)
-    # The strip of samples read and the scaled buffer share the budget.
-    strip = _strip_rows(s, buffers=2)
+    strip = _strip_rows(s)
     scaled = np.empty((min(strip, len(s)),) + s.shape[1:])
     # After the clamp, the scale and the + 0.5 every value lies in [0.5,
     # 255.5], where the cast's truncation toward zero is a floor, so the
@@ -269,9 +271,7 @@ def to_luminance(image: ImageBuffer) -> ImageBuffer:
     s = image.samples
     h, w = s.shape[:2]
     gray = np.empty((h, w, 1))
-    # The RGB strip read takes half the budget; the green, blue and output
-    # rows, a third of its size each, take the other half.
-    strip = _strip_rows(s, buffers=2)
+    strip = _strip_rows(s)
     green, blue = np.empty((2, min(strip, h), w))
     # Grouping chosen so the three weights sum to exactly 1.0 in float
     # arithmetic, keeping (1, 1, 1) at exactly 1.0. The red product stays the

@@ -243,10 +243,10 @@ def correlate(
     if weight <= 0.0:
         weight = 1.0
     out = np.empty_like(arr)
-    # Result, scratch and acc share the strip budget; _strip_grid gives their
-    # layout. One pass moves each strip's result into out: the divide by the
-    # weight when normalizing, a copy otherwise.
-    strip = _strip_rows(padded, buffers=3)
+    # _strip_grid gives the layout of result, scratch and acc. One pass moves
+    # each strip's result into out: the divide by the weight when
+    # normalizing, a copy otherwise.
+    strip = _strip_rows(padded)
     result, scratch, acc = np.empty((3, min(strip, h) * pitch))
     for y0 in range(0, h, strip):
         rows = min(strip, h - y0)

@@ -104,7 +104,9 @@ class RawStreamSource:
 
     Dimensions come from the caller; the file length must be a positive
     multiple of width*height*3. Frames are read by seeking, so the file must
-    be a regular file, not a pipe or a device.
+    be a regular file, not a pipe or a device. A path that is not a str,
+    bytes or os.PathLike raises TypeError: open() would take an int as a
+    descriptor and close the caller's.
     """
 
     path: str
@@ -113,6 +115,10 @@ class RawStreamSource:
 
     def __post_init__(self) -> None:
         _check_dimensions(self.width, self.height)
+        if not isinstance(self.path, (str, bytes, os.PathLike)):
+            raise TypeError(
+                f"path must be a str, bytes or os.PathLike, got {type(self.path).__name__}"
+            )
         info = os.stat(self.path)
         if not stat.S_ISREG(info.st_mode):
             raise UnsupportedFormat(

@@ -62,6 +62,12 @@ def _emptied_raw_source(tmp_path):
     return source
 
 
+def _raw_source_from_fd(tmp_path):
+    """A raw source given a descriptor of a one-frame file in place of its path."""
+    with open(_raw_file(tmp_path), "rb") as f:
+        return RawStreamSource(f.fileno(), 2, 2)
+
+
 def _pnm_file(tmp_path, content):
     path = tmp_path / "image.pgm"
     path.write_bytes(content)
@@ -118,6 +124,8 @@ BAD_INPUTS = [
     ("synthetic-width-bool", lambda tmp: SyntheticSource(True, 2), SizeError),
     ("raw-width-float", lambda tmp: RawStreamSource(_raw_file(tmp), 2.0, 2), SizeError),
     ("raw-height-bool", lambda tmp: RawStreamSource(_raw_file(tmp, 3), 1, True), SizeError),
+    # A descriptor is not a path: reading a frame would close the caller's descriptor.
+    ("raw-path-descriptor", _raw_source_from_fd, TypeError),
     # Raw frames are read by seeking, so a raw source is a regular file.
     ("raw-fifo", lambda tmp: RawStreamSource(_raw_fifo(tmp), 10, 10), UnsupportedFormat),
     ("decode-width-float", lambda tmp: decode_bytes(bytes(4), 2.0, 2, GRAY8), SizeError),
@@ -182,6 +190,9 @@ BAD_INPUTS = [
     # Pixel data is bytes-like: an int is not a count of zero bytes.
     ("decode-data-int", lambda tmp: decode_bytes(5, 5, 1, GRAY8), TypeError),
     ("decode-data-list", lambda tmp: decode_bytes([0, 0], 2, 1, GRAY8), TypeError),
+    # A float array's bytes are not pixel bytes.
+    ("decode-data-float-array",
+     lambda tmp: decode_bytes(np.full(2, 0.5), 16, 1, GRAY8), TypeError),
     ("decode-format-string", lambda tmp: decode_bytes(bytes(2), 2, 1, "gray8"), TypeError),
     ("encode-format-string", lambda tmp: encode_bytes(GRAY, "gray8"), TypeError),
     # The work is checked before the first frame: this source has none left.

@@ -90,7 +90,7 @@ def test_sobel_rgb_single_channel_edge_matches_gray():
 
 def _sobel_strip_rows(w, channels):
     """Rows per strip of the Sobel loop on a w-wide image, whose padded rows are w + 2 wide."""
-    return image._strip_rows(np.empty((1, w + 2, channels)), buffers=3)
+    return image._strip_rows(np.empty((1, w + 2, channels)))
 
 
 def _sobel_tap_loop(arr, border):
@@ -258,7 +258,7 @@ def test_frei_chen_flat_rule_needs_a_finite_window():
 
 def _frei_chen_strip_rows(w):
     """Rows per strip of frei_chen on a w-wide image, whose padded rows are w + 2 wide."""
-    return detectors._frei_chen_strip_rows(np.empty((1, w + 2, 1)))
+    return image._strip_rows(np.empty((1, w + 2, 1)))
 
 
 def test_frei_chen_flat_rule_holds_across_strips():
@@ -385,9 +385,9 @@ _BOUNDARIES = (10, 20, 30)
 
 
 def test_frei_chen_row_ranges_are_bit_identical_to_one_range(monkeypatch):
-    # A one-byte strip budget gives Frei-Chen 3-row strips.
-    monkeypatch.setattr(image, "_STRIP_BYTES", 1)
+    # A budget of three padded rows gives 3-row strips.
     h, w = 40, 23
+    monkeypatch.setattr(image, "_STRIP_BYTES", 3 * (w + 2) * 8)
     strip = _frei_chen_strip_rows(w)
     assert strip == 3
     rng = np.random.default_rng(40)
@@ -420,8 +420,8 @@ def test_sobel_row_ranges_are_bit_identical_to_one_range(monkeypatch):
     rng = np.random.default_rng(42)
     calls = _record_ranges(monkeypatch, "_sobel_rows")
     for channels, border in itertools.product((1, 3), BorderPolicy):
-        # A budget of three padded rows of the three strip buffers gives 3-row strips.
-        monkeypatch.setattr(image, "_STRIP_BYTES", 3 * 3 * (w + 2) * channels * 8)
+        # A budget of three padded rows gives 3-row strips.
+        monkeypatch.setattr(image, "_STRIP_BYTES", 3 * (w + 2) * channels * 8)
         assert _sobel_strip_rows(w, channels) == 3
         arr = rng.standard_normal((h, w, channels))
         _specials_at_boundaries(arr, _BOUNDARIES)

@@ -5,15 +5,21 @@ import pytest
 
 from kernelbench import image
 from kernelbench import (
+    BorderPolicy,
     FormatError,
+    FreiChenSubset,
     ImageBuffer,
+    Kernel,
     PixelFormat,
     RangeError,
     SizeError,
     UnsupportedFormat,
+    correlate,
     decode_bytes,
     encode_bytes,
+    frei_chen,
     read_pnm,
+    sobel_magnitude_rgb,
     to_luminance,
     write_pnm,
 )
@@ -205,7 +211,7 @@ _NANS = np.array(
 
 def _one_strip(width, channels):
     """Rows in one strip of the codec and colour loops at this width."""
-    return image._strip_rows(np.empty((1, width, channels)), buffers=2)
+    return image._strip_rows(np.empty((1, width, channels)))
 
 
 def _strip_edge_shapes(channels):
@@ -264,6 +270,60 @@ def test_encode_rejects_nan_in_any_strip(channels):
         x[row, -1, -1] = np.nan
         with pytest.raises(RangeError, match="NaN"):
             encode_bytes(ImageBuffer(x), fmt)
+
+
+# A 5x5 kernel with a positive sum, so normalizing divides.
+_KERNEL_5X5 = Kernel(np.random.default_rng(43).random((5, 5)) - 0.25)
+
+# (id, one strip loop run on an RGB frame, pad radius and channels of the
+# array the loop reads)
+_STRIP_LOOPS = [
+    *(
+        (f"correlate-{border.name}-{normalize}",
+         lambda x, b=border, n=normalize: correlate(ImageBuffer(x), _KERNEL_5X5, b, n), 2, 3)
+        for border in BorderPolicy
+        for normalize in (False, True)
+    ),
+    ("sobel-rgb", lambda x: sobel_magnitude_rgb(ImageBuffer(x)), 1, 3),
+    *(
+        (f"frei-chen-{subset.name}",
+         lambda x, s=subset: frei_chen(ImageBuffer(x[:, :, :1]), s), 1, 1)
+        for subset in FreiChenSubset
+    ),
+    ("luminance", lambda x: to_luminance(ImageBuffer(x)), 0, 3),
+    # NaN has no byte value, so encode reads the frame with its NaNs at 0.5.
+    ("encode",
+     lambda x: encode_bytes(ImageBuffer(np.where(np.isnan(x), 0.5, x)), PixelFormat.RGB24), 0, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "loop, pad, channels", [pytest.param(*row[1:], id=row[0]) for row in _STRIP_LOOPS]
+)
+def test_strip_size_never_changes_output(monkeypatch, loop, pad, channels):
+    h, w = 37, 29
+    rng = np.random.default_rng(44)
+    x = rng.standard_normal((h, w, 3))
+    flat = x.reshape(-1)
+    picks = rng.random(flat.size) < 0.2
+    flat[picks] = rng.choice([np.inf, -np.inf, np.nan, -0.0], size=int(picks.sum()))
+    read = np.empty((h + 2 * pad, w + 2 * pad, channels))
+    assert image._strip_rows(read) >= h  # the whole frame is one strip
+    one_strip = loop(x)
+    # A budget of one read row gives 1-row strips.
+    monkeypatch.setattr(image, "_STRIP_BYTES", read.strides[0])
+    assert image._strip_rows(read) == 1
+    got = loop(x)
+    if isinstance(got, bytes):
+        assert got == one_strip
+        return
+    got, one_strip = got.samples, one_strip.samples
+    nan = np.isnan(one_strip)
+    assert nan.any() and np.array_equal(np.isnan(got), nan)
+    # Where two NaNs meet, numpy's loops keep one operand's NaN in their
+    # vector body and the other's in their remainder, at a strip's last
+    # samples, so only the sign and payload of a NaN may follow the strip size.
+    assert got[~nan].tobytes() == one_strip[~nan].tobytes()
 
 
 def _peak_bytes(fn, *args):

@@ -214,7 +214,7 @@ def test_pitch_layout_matches_strided_taps():
     # at the end of each buffer row, at heights of two full strips and a part.
     for w, channels, k in itertools.product((1, 2, 3), (1, 3), kernels_5_7):
         r = k.shape[0] // 2
-        strip = kernels._strip_rows(np.empty((1, w + 2 * r, channels)), buffers=3)
+        strip = kernels._strip_rows(np.empty((1, w + 2 * r, channels)))
         cases.append(((2 * strip + 3, w, channels), k))
     cases += [((13, 2048, 3), SOBEL_GX.coefficients), ((240, 320, 3), np.ones((3, 3)))]
     for shape, k in cases:
@@ -225,7 +225,7 @@ def test_pitch_layout_matches_strided_taps():
         for border, normalize in itertools.product(BorderPolicy, (False, True)):
             r = k.shape[0] // 2
             padded = np.pad(arr, ((r, r), (r, r), (0, 0)), mode=border.pad_mode)
-            assert kernels._strip_rows(padded, buffers=3) < shape[0]
+            assert kernels._strip_rows(padded) < shape[0]
             got = correlate(ImageBuffer(arr), Kernel(k), border, normalize).samples
             want = _correlate_strided(arr, k, border, normalize)
             nan = np.isnan(want)

@@ -6,7 +6,9 @@ CLI change that calls a library function through a reference taken before the
 wrapping (a cached parser that stored ``type=parse_kernel``, for example)
 hides that call and fails the pnm-batch run. The two detector workloads pin
 the detectors' output and their calls per frame, such as one
-``kernels.pad_samples`` per frame, through the row-range runner.
+``kernels.pad_samples`` per frame, through the row-range runner. The
+box-chain workload pins ``correlate``'s output and its 50 ``correlate`` and
+50 ``pad_samples`` calls per frame.
 """
 
 import json
@@ -19,7 +21,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["pnm-batch", "sobel-1080p", "freichen-raw-vga"])
+@pytest.mark.parametrize(
+    "workload", ["pnm-batch", "sobel-1080p", "freichen-raw-vga", "box-chain-qvga"]
+)
 def test_traced_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

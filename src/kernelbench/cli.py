@@ -90,7 +90,7 @@ def _cmd_detect(args) -> int:
 def _cmd_gen_shader(args) -> int:
     chain = ChainSpec((ChainPass(args.kernel, normalize=args.normalize, repeat=args.repeat),))
     program = generate_program(chain)
-    for path in write_program(program, chain, args.stem):
+    for path in write_program(program, args.stem):
         print(path)
     return 0
 

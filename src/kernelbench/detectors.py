@@ -104,7 +104,8 @@ def _sobel(image: ImageBuffer, border: BorderPolicy) -> ImageBuffer:
 
     The frame is padded once, then its strips run as row ranges (_run_ranges)
     of _sobel_rows. Each pixel gets the same operations in the same order in
-    any range, so the split does not change the output.
+    any range, so the split changes no value and no bit outside NaNs; where a
+    NaN and a -NaN meet, the sign of the NaN kept may depend on the split.
     """
     padded = pad_samples(image.samples, 1, border)
     out = np.empty((image.height, image.width, 1))
@@ -260,7 +261,8 @@ def frei_chen(
 
     The strips run as contiguous row ranges, one per CPU the process may use
     (_run_ranges). Each pixel gets the same operations in the same order in
-    any range, so the split does not change the output.
+    any range, so the split changes no value and no bit outside NaNs; where a
+    NaN and a -NaN meet, the sign of the NaN kept may depend on the split.
 
     Raises:
         FormatError: if the image is not single-channel.

@@ -3,18 +3,17 @@
 A chain compiles to one fragment shader per pass and a shared pass-through
 vertex shader. Kernel coefficients travel as the u_kernel[9] uniform, never
 as source literals, so one compiled shader serves any 3x3 kernel. The CPU
-reference executor implements the same sampling semantics (clamp-to-edge,
-row-major nine-tap correlation, guarded normalization) for verification
-without a GPU.
+reference executor samples as the shaders do (clamp-to-edge, row-major
+nine-tap correlation, guarded normalization) and, for repeat 1, computes what
+the shader does. For repeat r > 1 each of the shader's r blocks reads the
+source texture, so it outputs one application; the executor applies r.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from .errors import EmptyChain, UnsupportedKernel, _is_count
 from .image import ImageBuffer, atomic_write_bytes
@@ -25,8 +24,9 @@ from .kernels import BorderPolicy, Kernel, correlate
 class ChainPass:
     """One convolution pass: a 3x3 kernel, a normalize flag, a repeat count.
 
-    repeat models applying the same operator several times per pixel; the
-    generated shader unrolls that many stencil blocks in a single pass.
+    repeat models applying the same operator several times per pixel. The
+    shader unrolls that many blocks, all reading the source texture, so it
+    outputs one application; execute_chain_reference applies repeat of them.
     """
 
     kernel: Kernel
@@ -70,19 +70,6 @@ _PASS_UNIFORMS = (
 )
 
 
-@dataclass(frozen=True)
-class GeneratedProgram:
-    """Vertex source, one fragment source per pass, and uniform metadata."""
-
-    vertex_source: str
-    fragment_sources: tuple[str, ...]
-    uniforms: tuple[tuple[UniformBinding, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.fragment_sources) != len(self.uniforms):
-            raise ValueError("one uniform set is required per fragment source")
-
-
 _VERTEX_SOURCE = """\
 attribute vec2 a_position;
 attribute vec2 a_texCoord;
@@ -96,11 +83,6 @@ void main() {
 """
 
 
-def _format_float(value: float) -> str:
-    """Shortest decimal that round-trips, always with an explicit point."""
-    return np.format_float_positional(value, unique=True, trim="0")
-
-
 def generate_vertex_shader() -> str:
     """Pass-through vertex shader shared by every pass; byte-stable."""
     return _VERTEX_SOURCE
@@ -112,10 +94,10 @@ def _stencil_block(normalize: bool) -> str:
     for tap in range(9):
         dy = tap // 3 - 1
         dx = tap % 3 - 1
-        offset = f"vec2({_format_float(float(dx))}, {_format_float(float(dy))})"
         end = " +" if tap < 8 else ";"
         lines.append(
-            f"        texture2D(u_image, v_texCoord + onePixel * {offset}) * u_kernel[{tap}]{end}"
+            f"        texture2D(u_image, v_texCoord + onePixel * vec2({dx}.0, {dy}.0))"
+            f" * u_kernel[{tap}]{end}"
         )
     if normalize:
         lines.append("    color = vec4((colorSum / kernelWeight).rgb, 1.0);")
@@ -127,17 +109,16 @@ def _stencil_block(normalize: bool) -> str:
 def generate_fragment_shader(chain_pass: ChainPass) -> str:
     """Fragment shader for one pass; deterministic bytes for equal passes.
 
-    The source declares u_image, u_textureSize, and u_kernel[9], computes
-    onePixel from the texture size, and unrolls `repeat` identical stencil
-    blocks. With normalize set it divides by kernelWeight, the uniform sum
-    guarded to 1.0 when it is not positive.
+    The source declares the uniforms of _PASS_UNIFORMS, computes onePixel
+    from the texture size, and unrolls `repeat` identical stencil blocks.
+    With normalize set it divides by kernelWeight, the uniform sum guarded
+    to 1.0 when it is not positive.
     """
     head = [
         "precision mediump float;",
         "",
-        "uniform sampler2D u_image;",
-        "uniform vec2 u_textureSize;",
-        "uniform float u_kernel[9];",
+        *(f"uniform {b.glsl_type} {b.name}{f'[{b.array_length}]' if b.array_length else ''};"
+          for b in _PASS_UNIFORMS),
         "",
         "varying vec2 v_texCoord;",
         "",
@@ -165,20 +146,37 @@ def generate_fragment_shader(chain_pass: ChainPass) -> str:
     return "\n".join(head) + "\n" + blocks + "\n".join(tail) + "\n"
 
 
+@dataclass(frozen=True)
+class GeneratedProgram:
+    """Vertex source, one fragment per pass and uniforms, derived from a chain.
+
+    == and hash compare the derived text and uniforms, not the chain.
+    """
+
+    chain: ChainSpec = field(compare=False)
+    vertex_source: str = field(init=False)
+    fragment_sources: tuple[str, ...] = field(init=False)
+    uniforms: tuple[tuple[UniformBinding, ...], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        passes = self.chain.passes
+        object.__setattr__(self, "vertex_source", _VERTEX_SOURCE)
+        object.__setattr__(self, "fragment_sources", tuple(map(generate_fragment_shader, passes)))
+        object.__setattr__(self, "uniforms", tuple(_PASS_UNIFORMS for _ in passes))
+
+
 def generate_program(chain: ChainSpec) -> GeneratedProgram:
     """Compile a chain: shared vertex source, one fragment per pass."""
-    fragments = tuple(generate_fragment_shader(p) for p in chain.passes)
-    uniforms = tuple(_PASS_UNIFORMS for _ in chain.passes)
-    return GeneratedProgram(_VERTEX_SOURCE, fragments, uniforms)
+    return GeneratedProgram(chain)
 
 
 def execute_chain_reference(image: ImageBuffer, chain: ChainSpec) -> ImageBuffer:
-    """Run a chain on the CPU with the generated shaders' sampling semantics.
+    """Run a chain on the CPU, sampling as the generated shaders do.
 
     Each pass correlates under clamp-to-edge with its normalize flag, and
     repeat r applies the pass r times sequentially, each application reading
-    the previous result. A single non-repeated pass is bit-identical to
-    correlate() by construction.
+    the previous result, unlike the shader (see the module docstring). A
+    single non-repeated pass is bit-identical to correlate() by construction.
     """
     out = image
     for chain_pass in chain.passes:
@@ -189,13 +187,14 @@ def execute_chain_reference(image: ImageBuffer, chain: ChainSpec) -> ImageBuffer
     return out
 
 
-def write_program(program: GeneratedProgram, chain: ChainSpec, stem) -> list:
+def write_program(program: GeneratedProgram, stem) -> list:
     """Write <stem>.vert, fragment file(s), and a <stem>.json sidecar.
 
     Single-pass chains write <stem>.frag; multi-pass chains write
     <stem>.<index>.frag. The sidecar lists, per pass, the fragment file, the
     uniform declarations, and the u_kernel values to bind along with the
-    normalize and repeat settings. Every file is written atomically.
+    normalize and repeat settings, all read from program.chain. Every file is
+    written atomically.
 
     Returns the list of paths written.
     """
@@ -206,25 +205,19 @@ def write_program(program: GeneratedProgram, chain: ChainSpec, stem) -> list:
     paths.append(vertex_path)
     multi = len(program.fragment_sources) > 1
     passes_meta = []
-    for index, source in enumerate(program.fragment_sources):
+    passes = zip(program.chain.passes, program.fragment_sources, program.uniforms)
+    for index, (chain_pass, source, bindings) in enumerate(passes):
         fragment_path = f"{stem}.{index}.frag" if multi else stem + ".frag"
         atomic_write_bytes(fragment_path, source.encode("ascii"))
         paths.append(fragment_path)
-        chain_pass = chain.passes[index]
         passes_meta.append(
             {
                 "fragment": os.path.basename(fragment_path),
                 "uniforms": [
-                    {
-                        "name": binding.name,
-                        "type": binding.glsl_type,
-                        "array_length": binding.array_length,
-                    }
-                    for binding in program.uniforms[index]
+                    {"name": b.name, "type": b.glsl_type, "array_length": b.array_length}
+                    for b in bindings
                 ],
-                "u_kernel_values": [
-                    float(v) for v in chain_pass.kernel.coefficients.ravel()
-                ],
+                "u_kernel_values": chain_pass.kernel.coefficients.ravel().tolist(),
                 "normalize": chain_pass.normalize,
                 "repeat": chain_pass.repeat,
             }

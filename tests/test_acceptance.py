@@ -99,8 +99,8 @@ def test_criterion_04_codegen_fidelity(tmp_path):
     second_dir = tmp_path / "second"
     first_dir.mkdir()
     second_dir.mkdir()
-    first = [pathlib.Path(p) for p in write_program(generate_program(chain), chain, first_dir / "chain")]
-    second = [pathlib.Path(p) for p in write_program(generate_program(chain), chain, second_dir / "chain")]
+    first = [pathlib.Path(p) for p in write_program(generate_program(chain), first_dir / "chain")]
+    second = [pathlib.Path(p) for p in write_program(generate_program(chain), second_dir / "chain")]
     assert [p.name for p in first] == [p.name for p in second]
     for a, b in zip(first, second):
         assert a.read_bytes() == b.read_bytes()

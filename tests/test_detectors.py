@@ -403,7 +403,9 @@ def test_frei_chen_row_ranges_are_bit_identical_to_one_range(monkeypatch):
             got = _split_calls(
                 lambda: frei_chen(ImageBuffer(arr), subset, border).samples, calls, ranges
             )
-            # Same operations in the same order: the same bits, NaN payloads too.
+            # Same operations in the same order: the same bits. With NaNs of
+            # one sign that includes the NaNs; mixed signs may flip a kept NaN's
+            # sign (test_row_ranges_keep_values_with_mixed_sign_nans).
             assert got.tobytes() == one.tobytes()
         want = _frei_chen_frame_sized(arr, subset, border)
         flat = _flat_windows(arr, border)
@@ -443,6 +445,38 @@ def test_sobel_row_ranges_are_bit_identical_to_one_range(monkeypatch):
         assert np.isnan(want).any() and np.array_equal(got, want, equal_nan=True)
         numbers = ~np.isnan(want)
         assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+
+def test_row_ranges_keep_values_with_mixed_sign_nans(monkeypatch):
+    """Over 1, 2 and 4 row ranges, NaNs of both signs leave the values, the NaN
+    positions and every non-NaN bit unchanged. Only the sign of a NaN kept where
+    a NaN and a -NaN meet may differ: numpy keeps one operand's NaN in a ufunc's
+    vector body and the other's in its remainder, and ranges move strip ends."""
+    h, w = 40, 23
+    rng = np.random.default_rng(43)
+    arr = rng.standard_normal((h, w, 3))
+    nan = rng.random(arr.shape) < 0.1
+    arr[nan] = np.where(rng.random(nan.sum()) < 0.5, np.nan, -np.nan)
+    gray = ImageBuffer(arr[:, :, :1].copy())
+    detects = [
+        functools.partial(sobel_magnitude, gray),
+        functools.partial(sobel_magnitude_rgb, ImageBuffer(arr)),
+        *(functools.partial(frei_chen, gray, subset) for subset in FreiChenSubset),
+    ]
+    # Three padded RGB rows: 3-row strips in RGB and 9-row strips in gray,
+    # so every frame has at least 4 strips to split.
+    monkeypatch.setattr(image, "_STRIP_BYTES", 3 * (w + 2) * 3 * 8)
+    for detect, border in itertools.product(detects, BorderPolicy):
+        outputs = []
+        for cpus in (1, 2, 4):
+            _use_cpus(monkeypatch, cpus)
+            outputs.append(detect(border).samples)
+        one = outputs[0]
+        assert np.isnan(one).any() and not np.isnan(one).all()
+        numbers = ~np.isnan(one)
+        for got in outputs[1:]:
+            assert np.array_equal(got, one, equal_nan=True)
+            assert got[numbers].tobytes() == one[numbers].tobytes()
 
 
 def _check_range_error(monkeypatch, where, detect, rows_name, fault_name):

@@ -187,7 +187,7 @@ def test_golden_identity_fragment():
 def test_write_program_single_pass(tmp_path):
     chain = ChainSpec((ChainPass(IDENTITY, normalize=True),))
     program = generate_program(chain)
-    paths = write_program(program, chain, tmp_path / "identity")
+    paths = write_program(program, tmp_path / "identity")
     names = sorted(p.split("/")[-1] for p in paths)
     assert names == ["identity.frag", "identity.json", "identity.vert"]
     meta = json.loads((tmp_path / "identity.json").read_text())
@@ -201,10 +201,39 @@ def test_write_program_single_pass(tmp_path):
 
 
 def test_write_program_multi_pass_names(tmp_path):
-    chain = ChainSpec((ChainPass(IDENTITY), ChainPass(IDENTITY, repeat=2)))
+    rng = np.random.default_rng(46)
+    passes = (
+        ChainPass(IDENTITY),
+        ChainPass(Kernel(rng.standard_normal((3, 3))), normalize=True, repeat=3),
+        ChainPass(Kernel(rng.standard_normal((3, 3))), repeat=2),
+    )
+    chain = ChainSpec(passes)
     program = generate_program(chain)
-    write_program(program, chain, tmp_path / "chain")
+    write_program(program, tmp_path / "chain")
     assert (tmp_path / "chain.vert").exists()
-    assert (tmp_path / "chain.0.frag").exists()
-    assert (tmp_path / "chain.1.frag").exists()
     assert not (tmp_path / "chain.frag").exists()
+    meta = json.loads((tmp_path / "chain.json").read_text())
+    assert len(meta["passes"]) == len(passes)
+    for index, (chain_pass, entry) in enumerate(zip(passes, meta["passes"])):
+        assert entry["fragment"] == f"chain.{index}.frag"
+        assert entry["u_kernel_values"] == chain_pass.kernel.coefficients.ravel().tolist()
+        assert entry["normalize"] is chain_pass.normalize
+        assert entry["repeat"] == chain_pass.repeat
+        src = (tmp_path / f"chain.{index}.frag").read_text()
+        assert src == generate_fragment_shader(chain_pass)
+        assert src.count("* u_kernel[8]") == chain_pass.repeat
+        assert ("if (kernelWeight <= 0.0)" in src) is chain_pass.normalize
+
+
+def test_program_is_derived_from_its_chain():
+    chain = ChainSpec((ChainPass(IDENTITY, normalize=True, repeat=2),))
+    program = generate_program(chain)
+    assert program.chain is chain
+    assert program.fragment_sources == (generate_fragment_shader(chain.passes[0]),)
+    # Equality and hashing follow the generated text, not the chain object.
+    same_text = generate_program(ChainSpec((ChainPass(IDENTITY, normalize=True, repeat=2),)))
+    assert program == same_text and hash(program) == hash(same_text)
+    other = ChainSpec((ChainPass(Kernel(np.ones((3, 3))), normalize=True, repeat=2),))
+    assert generate_program(other) == program
+    with pytest.raises(TypeError):
+        type(program)(chain, program.vertex_source, program.fragment_sources, program.uniforms)

@@ -60,6 +60,7 @@ class _RunScope(NamedTuple):
 
     pool: ThreadPoolExecutor
     pads: dict
+    pads_frame: bool  # frames are acquired into the interior of the radius-1 pad buffer
 
 
 # The scope of the pipeline.run call in progress in this context; None
@@ -68,18 +69,36 @@ _RUN_SCOPE: ContextVar[_RunScope | None] = ContextVar("_RUN_SCOPE", default=None
 
 
 @contextlib.contextmanager
-def _run_scope():
+def _run_scope(pads_frame: bool = False):
     """Give the frame loop one worker pool and one pad buffer per shape for all its frames.
 
     The pool has one worker per usable CPU after the first and starts its
     threads on first use; leaving the block joins them.
     """
     with ThreadPoolExecutor(max(1, _usable_cpus() - 1)) as pool:
-        token = _RUN_SCOPE.set(_RunScope(pool, {}))
+        token = _RUN_SCOPE.set(_RunScope(pool, {}, pads_frame))
         try:
             yield
         finally:
             _RUN_SCOPE.reset(token)
+
+
+def _pad_buffer(shape: tuple) -> np.ndarray:
+    """The run's pad buffer of this shape, made on first use; a fresh array outside a run."""
+    scope = _RUN_SCOPE.get()
+    pads = scope.pads if scope else {}
+    if shape not in pads:
+        pads[shape] = np.empty(shape)
+    return pads[shape]
+
+
+def _frame_array(h: int, w: int, c: int) -> np.ndarray:
+    """An (h, w, c) array to acquire a frame into: a fresh one, or in a run with pads_frame
+    the interior of its radius-1 pad buffer, which the next pad of that shape overwrites."""
+    scope = _RUN_SCOPE.get()
+    if scope is None or not scope.pads_frame:
+        return np.empty((h, w, c))
+    return _pad_buffer((h + 2, w + 2, c))[1 : h + 1, 1 : w + 1]
 
 
 def _run_ranges(h: int, strip: int, rows_fn) -> None:
@@ -209,7 +228,7 @@ def decode_bytes(data, width: int, height: int, fmt: PixelFormat) -> ImageBuffer
     src = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, fmt.channels)
     # The divide casts each byte to float64 as it reads it, so each sample is
     # the IEEE quotient b / 255.0.
-    return ImageBuffer._from_array(np.divide(src, 255.0, out=np.empty(src.shape)))
+    return ImageBuffer._from_array(np.divide(src, 255.0, out=_frame_array(*src.shape)))
 
 
 def encode_bytes(image: ImageBuffer, fmt: PixelFormat) -> bytes:

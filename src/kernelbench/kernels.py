@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .image import _RUN_SCOPE, ImageBuffer, _ieee_arithmetic, _strip_rows
+from .image import ImageBuffer, _ieee_arithmetic, _pad_buffer, _strip_rows
 
 
 class BorderPolicy(Enum):
@@ -186,24 +186,26 @@ def pad_samples(arr: np.ndarray, radius: int, border: BorderPolicy) -> np.ndarra
 
     The result has the bits np.pad(..., mode=border.pad_mode) gives. Inside
     pipeline.run it is the run's buffer for its shape, which the next pad of
-    that shape overwrites; outside a run it is a fresh array.
+    that shape overwrites; outside a run it is a fresh array. A frame that
+    the run acquired into that buffer's interior (image._frame_array) is
+    there already, so only the border is written.
     """
     if not isinstance(border, BorderPolicy):
         raise TypeError(f"border must be a BorderPolicy, got {type(border).__name__}")
     h, w, channels = arr.shape
     r = radius
-    shape = (h + 2 * r, w + 2 * r, channels)
-    scope = _RUN_SCOPE.get()
-    pads = scope.pads if scope else {}
-    out = pads.get(shape)
-    if out is None:
-        out = pads[shape] = np.empty(shape)
-    out[r : r + h, r : r + w] = arr
+    out = _pad_buffer((h + 2 * r, w + 2 * r, channels))
+    interior = out[r : r + h, r : r + w]
+    # The cheap identity test first, as it runs on every call.
+    if not (arr.base is out and arr.strides == out.strides
+            and arr.__array_interface__["data"][0] == interior.__array_interface__["data"][0]):
+        interior[...] = arr
     # The side columns first, then whole rows, so the corners come from the
-    # edge columns just as np.pad's edge mode fills them.
+    # edge columns just as np.pad's edge mode fills them. They are read from
+    # the interior, which holds arr's samples even if arr overlapped it.
     clamp = border is BorderPolicy.CLAMP_TO_EDGE
-    out[r : r + h, :r] = arr[:, :1] if clamp else 0.0
-    out[r : r + h, r + w :] = arr[:, -1:] if clamp else 0.0
+    out[r : r + h, :r] = interior[:, :1] if clamp else 0.0
+    out[r : r + h, r + w :] = interior[:, -1:] if clamp else 0.0
     out[:r] = out[r : r + 1] if clamp else 0.0
     out[r + h :] = out[r + h - 1 : r + h] if clamp else 0.0
     return out

@@ -25,7 +25,9 @@ from .image import (
     ImageBuffer,
     PixelFormat,
     _check_dimensions,
+    _frame_array,
     _run_scope,
+    _strip_rows,
     decode_bytes,
     to_luminance,
 )
@@ -147,16 +149,27 @@ FrameSource = SyntheticSource | RawStreamSource
 
 
 def _synthetic_frame(source: SyntheticSource, index: int) -> ImageBuffer:
+    """Fill the frame from template rows. The phase is reduced in Python before numpy sees
+    it, so any integer seed works; in numpy it would wrap in int64 or overflow."""
     w, h = source.width, source.height
     phase = index + source.seed
-    out = np.empty((h, w, 3))
+    out = _frame_array(h, w, 3)
     if source.pattern is FramePattern.MOVING_GRADIENT:
-        out[:, :, 0] = ((np.arange(w) + phase) % w) / w
-        out[:, :, 1] = (((np.arange(h) + phase) % h) / h)[:, np.newaxis]
-        out[:, :, 2] = 0.5
+        # Red and blue repeat on every row; green is constant along each row.
+        # Strips keep the rows in cache for the green pass.
+        template = np.full((w, 3), 0.5)
+        template[:, 0] = ((np.arange(w) + phase % w) % w) / w
+        green = ((np.arange(h) + phase % h) % h) / h
+        strip = _strip_rows(out)
+        for y0 in range(0, h, strip):
+            out[y0 : y0 + strip] = template
+            out[y0 : y0 + strip, :, 1] = green[y0 : y0 + strip, np.newaxis]
     else:
-        cells = (np.arange(w) // 8)[np.newaxis, :] + (np.arange(h) // 8)[:, np.newaxis]
-        out[:] = ((cells + phase) % 2).astype(np.float64)[:, :, np.newaxis]
+        # Each band of 8 rows is one of two rows, whose 8-pixel cells toggle.
+        cells = np.arange(w) // 8 + phase % 2
+        rows = ((cells + np.arange(2)[:, np.newaxis]) % 2).astype(np.float64)[:, :, np.newaxis]
+        for y0 in range(0, h, 8):
+            out[y0 : y0 + 8] = rows[(y0 // 8) % 2]
     return ImageBuffer._from_array(out)
 
 
@@ -363,7 +376,10 @@ def run(
         raise TypeError(f"work must be a ChainSpec or DetectorKind, got {type(work).__name__}")
     measured = []
     partial = False
-    with _run_scope():
+    # Sobel reads its frame only through one radius-1 pad. A chain's frame stays fresh:
+    # held across frames, it keeps glibc from trimming the heap the chain's outputs
+    # reuse (a QVGA frame in the pad took 954 page faults, not 536). Frei-Chen pads luminance.
+    with _run_scope(pads_frame=work is DetectorKind.SOBEL):
         for index in range(frames + warmup):
             start = now()
             try:

@@ -199,11 +199,30 @@ BAD_INPUTS = [
     ("run-work-string", lambda tmp: run(_emptied_raw_source(tmp), "sobel", frames=1), TypeError),
 ]
 
+
+def _frame_of_reduced_seed(seed, pattern=FramePattern.MOVING_GRADIENT):
+    """A 5x3 frame of any integer seed is the frame of the seed reduced by the pattern's period."""
+    period = 15 if pattern is FramePattern.MOVING_GRADIENT else 2
+    frame = next_frame(SyntheticSource(5, 3, pattern, seed), 0).samples
+    reduced = next_frame(SyntheticSource(5, 3, pattern, seed % period), 0).samples
+    assert frame.tobytes() == reduced.tobytes()
+    return frame
+
+
 ACCEPTED = [
     ("synthetic-numpy-width", lambda tmp: SyntheticSource(np.int64(2), 1)),
     ("synthetic-negative-seed",
      lambda tmp: next_frame(SyntheticSource(4, 3, FramePattern.CHECKERBOARD, seed=-5), 0)),
     ("synthetic-numpy-seed", lambda tmp: next_frame(SyntheticSource(4, 3, seed=np.int64(-1)), 2)),
+    # Seeds near and beyond int64 give the documented frame, not a wrapped
+    # ramp or an OverflowError.
+    ("synthetic-seed-near-int64-max",
+     lambda tmp: np.testing.assert_array_equal(
+         _frame_of_reduced_seed(2**63 - 3)[0, :, 0], [0.0, 0.2, 0.4, 0.6, 0.8])),
+    ("synthetic-seed-beyond-int64", lambda tmp: _frame_of_reduced_seed(2**63)),
+    ("synthetic-seed-below-int64", lambda tmp: _frame_of_reduced_seed(-(2**63) - 1)),
+    ("synthetic-checkerboard-seed-beyond-int64",
+     lambda tmp: _frame_of_reduced_seed(2**64 + 7, FramePattern.CHECKERBOARD)),
     ("chainpass-numpy-repeat", lambda tmp: ChainPass(SOBEL_GX, repeat=np.int64(2))),
     ("run-numpy-frames", lambda tmp: run(SOURCE, SOBEL, frames=np.int64(1), warmup=np.int64(0))),
 ]

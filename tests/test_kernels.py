@@ -11,8 +11,12 @@ from kernelbench import (
     BorderPolicy,
     ImageBuffer,
     Kernel,
+    PixelFormat,
+    SyntheticSource,
     compose,
     correlate,
+    decode_bytes,
+    next_frame,
     parse_kernel,
 )
 
@@ -264,6 +268,39 @@ def test_pad_samples_is_byte_identical_to_np_pad():
         )
     a, b = (kernels.pad_samples(np.zeros((2, 3, 1)), 1, BorderPolicy.ZERO_PAD) for _ in range(2))
     assert not np.shares_memory(a, b)
+
+
+def _np_pad_1(arr, border):
+    return np.pad(arr, ((1, 1), (1, 1), (0, 0)), mode=border.pad_mode)
+
+
+def test_pad_samples_of_a_frame_in_its_run_buffer_writes_only_the_border():
+    # A run whose work pads its frames at radius 1 acquires each frame into
+    # the interior of its pad buffer; the pad then fills the border around it.
+    rng = np.random.default_rng(42)
+    for border, (h, w) in itertools.product(BorderPolicy, ((1, 1), (3, 7), (18, 24))):
+        data = bytes(rng.integers(0, 256, h * w * 3, dtype=np.uint8))
+        with image._run_scope(pads_frame=True):
+            synthetic = next_frame(SyntheticSource(w, h, seed=3), 1)
+            for frame in (synthetic, decode_bytes(data, w, h, PixelFormat.RGB24)):
+                want = _np_pad_1(frame.samples.copy(), border)
+                padded = kernels.pad_samples(frame.samples, 1, border)
+                assert frame.samples.base is padded
+                assert padded.tobytes() == want.tobytes()
+
+
+def test_pad_samples_copies_a_same_shape_array_that_is_not_the_interior():
+    h, w = 2, 2
+    with image._run_scope(pads_frame=True):
+        buf = image._pad_buffer((h + 2, w + 2, 3))
+        # Views of the pad buffer at the wrong place or with the wrong steps
+        # (the third starts where the interior does), and a fresh array.
+        for arr in (buf[:h, :w], buf[2:, 1 : w + 1], buf[1::2, 1::2], np.ones((h, w, 3))):
+            buf[:] = np.arange(buf.size).reshape(buf.shape)
+            assert arr.shape == (h, w, 3)
+            want = _np_pad_1(arr.copy(), BorderPolicy.CLAMP_TO_EDGE)
+            padded = kernels.pad_samples(arr, 1, BorderPolicy.CLAMP_TO_EDGE)
+            assert padded is buf and padded.tobytes() == want.tobytes()
 
 
 def test_correlation_is_linear():

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -333,30 +334,98 @@ def test_run_scope_is_unset_after_run_returns_or_raises(monkeypatch):
     assert image._RUN_SCOPE.get() is None
 
 
-def test_run_outputs_are_fresh_and_match_direct_calls(monkeypatch):
-    # A caller may keep every frame's output, so no two may share memory,
-    # and reusing the run's pad buffer must not change a bit.
+# A multi-pass chain: a mixed-sign kernel applied twice, then a normalized box.
+MULTI_PASS_CHAIN = ChainSpec((
+    ChainPass(Kernel([[1, -2, 0.5], [0, 3, -1], [-0.25, 1, -1]]), repeat=2),
+    ChainPass(Kernel(np.ones((3, 3))), normalize=True),
+))
+
+
+def _keeping(function, sink):
+    """function, appending each value it returns to sink."""
+
+    def keep(*args, **kwargs):
+        sink.append(function(*args, **kwargs))
+        return sink[-1]
+
+    return keep
+
+
+def test_run_outputs_are_fresh_and_match_direct_calls(monkeypatch, tmp_path):
+    # A caller may keep every frame's output, so no two may share memory, and
+    # none may share memory with a frame, which may live in the run's pad
+    # buffer. Acquiring into that buffer and reusing it must not change a bit.
     _split_every_frame(monkeypatch)
-    source = SyntheticSource(24, 18)
+    raw = tmp_path / "clip.rgb"
+    _write_raw(raw, 3, 24, 18, seed=52)
+    sources = (
+        SyntheticSource(24, 18),
+        SyntheticSource(24, 18, FramePattern.CHECKERBOARD, seed=-3),
+        RawStreamSource(str(raw), 24, 18),
+    )
     cases = (
         ("sobel_magnitude_rgb", DetectorKind.SOBEL, sobel_magnitude_rgb),
         ("frei_chen", DetectorKind.FREI_CHEN,
          lambda frame: frei_chen(to_luminance(frame), pipeline.PIPELINE_FREI_CHEN_SUBSET)),
         ("execute_chain_reference", BOX_CHAIN,
          lambda frame: execute_chain_reference(frame, BOX_CHAIN)),
+        ("execute_chain_reference", MULTI_PASS_CHAIN,
+         lambda frame: execute_chain_reference(frame, MULTI_PASS_CHAIN)),
     )
-    for attr, work, direct in cases:
-        outputs = []
-        original = getattr(pipeline, attr)
-
-        def keep(*args, _original=original, **kwargs):
-            outputs.append(_original(*args, **kwargs))
-            return outputs[-1]
-
-        monkeypatch.setattr(pipeline, attr, keep)
-        run(source, work, frames=3)
+    for source, (attr, work, direct) in itertools.product(sources, cases):
+        frames, outputs = [], []
+        with monkeypatch.context() as patch:
+            for name, sink in (("next_frame", frames), (attr, outputs)):
+                patch.setattr(pipeline, name, _keeping(getattr(pipeline, name), sink))
+            run(source, work, frames=3)
         assert len(outputs) == 3
+        # Sobel frames live in the pad buffer; chain and Frei-Chen frames own their memory.
+        assert all(f.samples.flags.owndata == (work is not DetectorKind.SOBEL) for f in frames)
         for a, b in itertools.combinations(outputs, 2):
             assert not np.shares_memory(a.samples, b.samples)
+        for out, frame in itertools.product(outputs, frames):
+            assert not np.shares_memory(out.samples, frame.samples)
         for index, out in enumerate(outputs):
             assert out.samples.tobytes() == direct(next_frame(source, index)).samples.tobytes()
+
+
+def test_next_frame_outside_a_run_is_a_fresh_contiguous_array(tmp_path):
+    raw = tmp_path / "clip.rgb"
+    _write_raw(raw, 2, 5, 3, seed=53)
+    for source in (SyntheticSource(5, 3), SyntheticSource(5, 3, FramePattern.CHECKERBOARD),
+                   RawStreamSource(str(raw), 5, 3)):
+        a, b = next_frame(source, 1).samples, next_frame(source, 1).samples
+        assert a.flags.c_contiguous and a.flags.owndata and a.shape == (3, 5, 3)
+        assert not np.shares_memory(a, b)
+
+
+def _whole_frame_reference(source, index):
+    """A synthetic frame from whole-frame expressions, valid while the phase fits int64."""
+    w, h = source.width, source.height
+    phase = index + source.seed
+    out = np.empty((h, w, 3))
+    if source.pattern is FramePattern.MOVING_GRADIENT:
+        out[:, :, 0] = ((np.arange(w) + phase) % w) / w
+        out[:, :, 1] = (((np.arange(h) + phase) % h) / h)[:, np.newaxis]
+        out[:, :, 2] = 0.5
+    else:
+        cells = (np.arange(w) // 8)[np.newaxis, :] + (np.arange(h) // 8)[:, np.newaxis]
+        out[:] = ((cells + phase) % 2).astype(np.float64)[:, :, np.newaxis]
+    return out
+
+
+@pytest.mark.parametrize("strip", [1, 2, 3, None])
+def test_template_fill_matches_whole_frame_expressions(monkeypatch, strip):
+    # Strips of 1 to 3 rows leave short last strips on most heights; None
+    # keeps the strip budget's rows, 22 at 640 wide. Inside a
+    # run the frame is acquired into the pad buffer's interior.
+    if strip is not None:
+        monkeypatch.setattr(pipeline, "_strip_rows", lambda arr: strip)
+    sizes = [(1, 1), (7, 3), (3, 7), (5, 17), (9, 20), (24, 18), (13, 41), (640, 50)]
+    for scope in (contextlib.nullcontext(), image._run_scope(pads_frame=True)):
+        with scope:
+            for (w, h), pattern, seed in itertools.product(sizes, FramePattern, (0, 3, -5, -1000003)):
+                source = SyntheticSource(w, h, pattern, seed)
+                for index in (0, 1, 6):
+                    want = _whole_frame_reference(source, index)
+                    assert next_frame(source, index).samples.tobytes() == want.tobytes()

@@ -127,14 +127,21 @@ def test_generate_program_counts():
     assert len(multi.uniforms) == 4
 
 
-def test_program_metadata_matches_declarations():
-    program = generate_program(ChainSpec((ChainPass(IDENTITY, normalize=True),)))
-    (bindings,) = program.uniforms
-    src = program.fragment_sources[0]
-    declared = re.findall(r"uniform (\w+) (\w+)(?:\[(\d+)\])?;", src)
-    assert [(b.glsl_type, b.name, b.array_length) for b in bindings] == [
-        (t, n, int(l) if l else 0) for t, n, l in declared
-    ]
+# Every pass declares these uniforms, as (name, GLSL type, array length or 0).
+PASS_UNIFORMS = [("u_image", "sampler2D", 0), ("u_textureSize", "vec2", 0), ("u_kernel", "float", 9)]
+
+
+def test_program_metadata_matches_declarations(tmp_path):
+    chain = ChainSpec((ChainPass(IDENTITY, normalize=True), ChainPass(IDENTITY, repeat=2)))
+    program = generate_program(chain)
+    write_program(program, tmp_path / "prog")
+    meta = json.loads((tmp_path / "prog.json").read_text())
+    assert len(meta["passes"]) == len(program.fragment_sources) == 2
+    for entry, src in zip(meta["passes"], program.fragment_sources):
+        sidecar = [(u["name"], u["type"], u["array_length"]) for u in entry["uniforms"]]
+        declared = re.findall(r"uniform (\w+) (\w+)(?:\[(\d+)\])?;", src)
+        assert sidecar == PASS_UNIFORMS
+        assert [(n, t, int(l) if l else 0) for t, n, l in declared] == PASS_UNIFORMS
 
 
 def test_single_pass_reference_is_bit_identical_to_correlate():

@@ -167,8 +167,8 @@ class ImageBuffer:
 
     @classmethod
     def _from_array(cls, arr: np.ndarray) -> "ImageBuffer":
-        # Internal fast path: takes ownership of a freshly allocated float64
-        # array instead of copying it.
+        # Internal fast path: takes ownership of a float64 array instead of
+        # copying it; a Sobel run's frame is its pad buffer's interior (samples).
         buf = object.__new__(cls)
         arr.setflags(write=False)
         buf._samples = arr
@@ -176,7 +176,8 @@ class ImageBuffer:
 
     @property
     def samples(self) -> np.ndarray:
-        """Read-only float64 array of shape (height, width, channels)."""
+        """Read-only float64 array of shape (height, width, channels); a frame acquired
+        inside a Sobel pipeline.run is valid only until the run acquires the next one."""
         return self._samples
 
     @property

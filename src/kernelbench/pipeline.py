@@ -149,14 +149,14 @@ FrameSource = SyntheticSource | RawStreamSource
 
 
 def _synthetic_frame(source: SyntheticSource, index: int) -> ImageBuffer:
-    """Fill the frame from template rows. The phase is reduced in Python before numpy sees
-    it, so any integer seed works; in numpy it would wrap in int64 or overflow."""
+    """The phase is reduced in Python before numpy sees it, so any integer seed works;
+    in numpy it would wrap in int64 or overflow."""
     w, h = source.width, source.height
     phase = index + source.seed
     out = _frame_array(h, w, 3)
     if source.pattern is FramePattern.MOVING_GRADIENT:
-        # Red and blue repeat on every row; green is constant along each row.
-        # Strips keep the rows in cache for the green pass.
+        # Red and blue come from one template row; green is constant along
+        # each row. Strips keep the rows in cache for the green pass.
         template = np.full((w, 3), 0.5)
         template[:, 0] = ((np.arange(w) + phase % w) % w) / w
         green = ((np.arange(h) + phase % h) % h) / h
@@ -165,11 +165,8 @@ def _synthetic_frame(source: SyntheticSource, index: int) -> ImageBuffer:
             out[y0 : y0 + strip] = template
             out[y0 : y0 + strip, :, 1] = green[y0 : y0 + strip, np.newaxis]
     else:
-        # Each band of 8 rows is one of two rows, whose 8-pixel cells toggle.
-        cells = np.arange(w) // 8 + phase % 2
-        rows = ((cells + np.arange(2)[:, np.newaxis]) % 2).astype(np.float64)[:, :, np.newaxis]
-        for y0 in range(0, h, 8):
-            out[y0 : y0 + 8] = rows[(y0 // 8) % 2]
+        cells = (np.arange(w) // 8)[np.newaxis, :] + (np.arange(h) // 8)[:, np.newaxis]
+        out[:] = ((cells + phase % 2) % 2).astype(np.float64)[:, :, np.newaxis]
     return ImageBuffer._from_array(out)
 
 

@@ -56,11 +56,12 @@ def _row_ranges(h: int, strip: int) -> list[tuple[int, int]]:
 
 
 class _RunScope(NamedTuple):
-    """The worker pool and the padded-frame buffers, one per shape, of one pipeline.run call."""
+    """The worker pool and the pad buffers, slots 0 and 1 per shape, of one pipeline.run call."""
 
     pool: ThreadPoolExecutor
     pads: dict
-    pads_frame: bool  # frames are acquired into the interior of the radius-1 pad buffer
+    pads_frame: bool  # frames are acquired into the interior of the radius-1 slot 0
+    chain_step: bool = False  # inside _chain_steps: correlate writes into a slot's interior
 
 
 # The scope of the pipeline.run call in progress in this context; None
@@ -70,7 +71,7 @@ _RUN_SCOPE: ContextVar[_RunScope | None] = ContextVar("_RUN_SCOPE", default=None
 
 @contextlib.contextmanager
 def _run_scope(pads_frame: bool = False):
-    """Give the frame loop one worker pool and one pad buffer per shape for all its frames.
+    """Give the frame loop one worker pool and its pad buffers for all its frames.
 
     The pool has one worker per usable CPU after the first and starts its
     threads on first use; leaving the block joins them.
@@ -83,22 +84,37 @@ def _run_scope(pads_frame: bool = False):
             _RUN_SCOPE.reset(token)
 
 
-def _pad_buffer(shape: tuple) -> np.ndarray:
-    """The run's pad buffer of this shape, made on first use; a fresh array outside a run."""
+@contextlib.contextmanager
+def _chain_steps():
+    """In a run, every correlate call in the block writes its output into the interior of
+    the slot its pad is not in, instead of a fresh array: a chain's steps but the last."""
     scope = _RUN_SCOPE.get()
-    pads = scope.pads if scope else {}
-    if shape not in pads:
-        pads[shape] = np.empty(shape)
-    return pads[shape]
+    token = _RUN_SCOPE.set(scope and scope._replace(chain_step=True))
+    try:
+        yield
+    finally:
+        _RUN_SCOPE.reset(token)
 
 
-def _frame_array(h: int, w: int, c: int) -> np.ndarray:
-    """An (h, w, c) array to acquire a frame into: a fresh one, or in a run with pads_frame
-    the interior of its radius-1 pad buffer, which the next pad of that shape overwrites."""
+def _pad_buffers(shape: tuple, count: int = 1) -> list:
+    """The run's pad buffers of this shape, slot 0 and then slot 1, at least count of them,
+    each made on first use; fresh ones outside a run."""
     scope = _RUN_SCOPE.get()
-    if scope is None or not scope.pads_frame:
+    slots = (scope.pads if scope else {}).setdefault(shape, [])
+    slots += [np.empty(shape) for _ in range(count - len(slots))]
+    return slots
+
+
+def _slot_interior(h: int, w: int, c: int, padded=None) -> np.ndarray:
+    """An (h, w, c) array to write a frame into, or with padded, the output of a correlate
+    that reads padded. It is a fresh array, or the interior of a slot of the run's radius-1
+    pad buffers, which the next pad in that slot overwrites: slot 0 for a frame in a run with
+    pads_frame, and the slot padded is not for a step in _chain_steps."""
+    scope = _RUN_SCOPE.get()
+    if scope is None or not (scope.pads_frame if padded is None else scope.chain_step):
         return np.empty((h, w, c))
-    return _pad_buffer((h + 2, w + 2, c))[1 : h + 1, 1 : w + 1]
+    slot = int(padded is _pad_buffers((h + 2, w + 2, c))[0])
+    return _pad_buffers((h + 2, w + 2, c), slot + 1)[slot][1 : h + 1, 1 : w + 1]
 
 
 def _run_ranges(h: int, strip: int, rows_fn) -> None:
@@ -167,8 +183,8 @@ class ImageBuffer:
 
     @classmethod
     def _from_array(cls, arr: np.ndarray) -> "ImageBuffer":
-        # Internal fast path: takes ownership of a float64 array instead of
-        # copying it; a Sobel run's frame is its pad buffer's interior (samples).
+        # Internal fast path: takes ownership of a float64 array instead of copying
+        # it; in a run it may be a pad buffer's interior (see _slot_interior).
         buf = object.__new__(cls)
         arr.setflags(write=False)
         buf._samples = arr
@@ -177,7 +193,8 @@ class ImageBuffer:
     @property
     def samples(self) -> np.ndarray:
         """Read-only float64 array of shape (height, width, channels); a frame acquired
-        inside a Sobel pipeline.run is valid only until the run acquires the next one."""
+        inside a Sobel or chain pipeline.run is valid only until the run's next pad or
+        chain step in its slot."""
         return self._samples
 
     @property
@@ -229,7 +246,7 @@ def decode_bytes(data, width: int, height: int, fmt: PixelFormat) -> ImageBuffer
     src = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, fmt.channels)
     # The divide casts each byte to float64 as it reads it, so each sample is
     # the IEEE quotient b / 255.0.
-    return ImageBuffer._from_array(np.divide(src, 255.0, out=_frame_array(*src.shape)))
+    return ImageBuffer._from_array(np.divide(src, 255.0, out=_slot_interior(*src.shape)))
 
 
 def encode_bytes(image: ImageBuffer, fmt: PixelFormat) -> bytes:

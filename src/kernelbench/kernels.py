@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .image import ImageBuffer, _ieee_arithmetic, _pad_buffer, _strip_rows
+from .image import ImageBuffer, _ieee_arithmetic, _pad_buffers, _slot_interior, _strip_rows
 
 
 class BorderPolicy(Enum):
@@ -185,16 +185,18 @@ def pad_samples(arr: np.ndarray, radius: int, border: BorderPolicy) -> np.ndarra
     """Pad a (h, w, c) sample array by radius rows/columns per a BorderPolicy, else TypeError.
 
     The result has the bits np.pad(..., mode=border.pad_mode) gives. Inside
-    pipeline.run it is the run's buffer for its shape, which the next pad of
-    that shape overwrites; outside a run it is a fresh array. A frame that
-    the run acquired into that buffer's interior (image._frame_array) is
-    there already, so only the border is written.
+    pipeline.run it is one of the run's two buffers for its shape: slot 1 if
+    arr is a view of it, else slot 0. The next pad in that slot overwrites
+    it. Outside a run it is a fresh array. An arr that is already that
+    buffer's interior (image._slot_interior), such as a frame or a chain
+    step's output, stays there, so only the border is written.
     """
     if not isinstance(border, BorderPolicy):
         raise TypeError(f"border must be a BorderPolicy, got {type(border).__name__}")
     h, w, channels = arr.shape
     r = radius
-    out = _pad_buffer((h + 2 * r, w + 2 * r, channels))
+    slots = _pad_buffers((h + 2 * r, w + 2 * r, channels))
+    out = slots[-1] if arr.base is slots[-1] else slots[0]
     interior = out[r : r + h, r : r + w]
     # The cheap identity test first, as it runs on every call.
     if not (arr.base is out and arr.strides == out.strides
@@ -244,7 +246,7 @@ def correlate(
     weight = float(kernel.coefficients.sum())
     if weight <= 0.0:
         weight = 1.0
-    out = np.empty_like(arr)
+    out = _slot_interior(h, w, channels, padded)
     # _strip_grid gives the layout of result, scratch and acc. One pass moves
     # each strip's result into out: the divide by the weight when
     # normalizing, a copy otherwise.

@@ -25,8 +25,8 @@ from .image import (
     ImageBuffer,
     PixelFormat,
     _check_dimensions,
-    _frame_array,
     _run_scope,
+    _slot_interior,
     _strip_rows,
     decode_bytes,
     to_luminance,
@@ -153,7 +153,7 @@ def _synthetic_frame(source: SyntheticSource, index: int) -> ImageBuffer:
     in numpy it would wrap in int64 or overflow."""
     w, h = source.width, source.height
     phase = index + source.seed
-    out = _frame_array(h, w, 3)
+    out = _slot_interior(h, w, 3)
     if source.pattern is FramePattern.MOVING_GRADIENT:
         # Red and blue come from one template row; green is constant along
         # each row. Strips keep the rows in cache for the green pass.
@@ -350,8 +350,9 @@ def run(
     `warmup` frames run at full cost but stay out of the report. If the
     source ends before all requested frames, the report covers the measured
     frames and is flagged partial. All frames share one worker pool for the
-    detectors' row ranges and one padded-frame buffer per shape; no pool
-    thread outlives the call, and every output is a fresh array.
+    detectors' row ranges and two pad buffers per shape, which hold Sobel and
+    chain frames and a chain's intermediate steps; no pool thread outlives
+    the call, and every output is a fresh array.
 
     Args:
         source: frame provider.
@@ -373,10 +374,9 @@ def run(
         raise TypeError(f"work must be a ChainSpec or DetectorKind, got {type(work).__name__}")
     measured = []
     partial = False
-    # Sobel reads its frame only through one radius-1 pad. A chain's frame stays fresh:
-    # held across frames, it keeps glibc from trimming the heap the chain's outputs
-    # reuse (a QVGA frame in the pad took 954 page faults, not 536). Frei-Chen pads luminance.
-    with _run_scope(pads_frame=work is DetectorKind.SOBEL):
+    # Sobel and a chain's first step read the frame only through one radius-1 pad;
+    # Frei-Chen pads the luminance, so its frames stay fresh.
+    with _run_scope(pads_frame=work is not DetectorKind.FREI_CHEN):
         for index in range(frames + warmup):
             start = now()
             try:

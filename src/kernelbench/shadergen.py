@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import EmptyChain, UnsupportedKernel, _is_count
-from .image import ImageBuffer, atomic_write_bytes
+from .image import ImageBuffer, _chain_steps, atomic_write_bytes
 from .kernels import BorderPolicy, Kernel, correlate
 
 
@@ -34,6 +34,8 @@ class ChainPass:
     repeat: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kernel, Kernel):
+            raise TypeError(f"kernel must be a Kernel, got {type(self.kernel).__name__}")
         if self.kernel.side != 3:
             raise UnsupportedKernel(
                 f"the shader target fixes u_kernel[9]; kernel side must be 3, got {self.kernel.side}"
@@ -52,6 +54,9 @@ class ChainSpec:
         object.__setattr__(self, "passes", tuple(self.passes))
         if not self.passes:
             raise EmptyChain("a chain needs at least one pass")
+        for p in self.passes:
+            if not isinstance(p, ChainPass):
+                raise TypeError(f"each pass must be a ChainPass, got {type(p).__name__}")
 
 
 @dataclass(frozen=True)
@@ -177,14 +182,14 @@ def execute_chain_reference(image: ImageBuffer, chain: ChainSpec) -> ImageBuffer
     repeat r applies the pass r times sequentially, each application reading
     the previous result, unlike the shader (see the module docstring). A
     single non-repeated pass is bit-identical to correlate() by construction.
+    Inside pipeline.run, every step but the last writes into a run buffer.
     """
+    *steps, last = (p for p in chain.passes for _ in range(p.repeat))
     out = image
-    for chain_pass in chain.passes:
-        for _ in range(chain_pass.repeat):
-            out = correlate(
-                out, chain_pass.kernel, BorderPolicy.CLAMP_TO_EDGE, chain_pass.normalize
-            )
-    return out
+    with _chain_steps():
+        for p in steps:
+            out = correlate(out, p.kernel, BorderPolicy.CLAMP_TO_EDGE, p.normalize)
+    return correlate(out, last.kernel, BorderPolicy.CLAMP_TO_EDGE, last.normalize)
 
 
 def write_program(program: GeneratedProgram, stem) -> list:

@@ -289,10 +289,40 @@ def test_pad_samples_of_a_frame_in_its_run_buffer_writes_only_the_border():
                 assert padded.tobytes() == want.tobytes()
 
 
+class _LoggedWrites(np.ndarray):
+    """An array that logs the region of each item assignment to it or to a view of it."""
+
+    regions = []
+
+    def __setitem__(self, key, value):
+        self.regions.append(np.asarray(self)[key])
+        super().__setitem__(key, value)
+
+
+def test_pad_samples_of_slot_1s_interior_writes_only_slot_1s_border():
+    # A chain step's output is the interior of the slot its input's pad is not in.
+    rng = np.random.default_rng(43)
+    for border, (h, w) in itertools.product(BorderPolicy, ((1, 1), (3, 7), (18, 24))):
+        with image._run_scope(pads_frame=True):
+            slots = image._pad_buffers((h + 2, w + 2, 3), 2)
+            slots[1] = rng.standard_normal(slots[0].shape).view(_LoggedWrites)
+            slot0, slot1 = slots
+            slot0[:] = rng.standard_normal(slot0.shape)
+            arr = slot1[1 : h + 1, 1 : w + 1]
+            want = _np_pad_1(np.array(arr), border)
+            before0 = slot0.copy()
+            _LoggedWrites.regions.clear()
+            padded = kernels.pad_samples(arr, 1, border)
+            assert padded is slot1 and np.asarray(padded).tobytes() == want.tobytes()
+            assert slot0.tobytes() == before0.tobytes()
+            assert _LoggedWrites.regions
+            assert not any(np.shares_memory(region, arr) for region in _LoggedWrites.regions)
+
+
 def test_pad_samples_copies_a_same_shape_array_that_is_not_the_interior():
     h, w = 2, 2
     with image._run_scope(pads_frame=True):
-        buf = image._pad_buffer((h + 2, w + 2, 3))
+        buf = image._pad_buffers((h + 2, w + 2, 3))[0]
         # Views of the pad buffer at the wrong place or with the wrong steps
         # (the third starts where the interior does), and a fresh array.
         for arr in (buf[:h, :w], buf[2:, 1 : w + 1], buf[1::2, 1::2], np.ones((h, w, 3))):

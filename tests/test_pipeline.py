@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from kernelbench import image, pipeline
+from kernelbench import image, kernels, pipeline, shadergen
 from kernelbench import (
     ChainPass,
     ChainSpec,
@@ -379,14 +379,50 @@ def test_run_outputs_are_fresh_and_match_direct_calls(monkeypatch, tmp_path):
                 patch.setattr(pipeline, name, _keeping(getattr(pipeline, name), sink))
             run(source, work, frames=3)
         assert len(outputs) == 3
-        # Sobel frames live in the pad buffer; chain and Frei-Chen frames own their memory.
-        assert all(f.samples.flags.owndata == (work is not DetectorKind.SOBEL) for f in frames)
+        # Sobel and chain frames live in a pad buffer; only Frei-Chen frames own their memory.
+        assert all(f.samples.flags.owndata == (work is DetectorKind.FREI_CHEN) for f in frames)
         for a, b in itertools.combinations(outputs, 2):
             assert not np.shares_memory(a.samples, b.samples)
         for out, frame in itertools.product(outputs, frames):
             assert not np.shares_memory(out.samples, frame.samples)
         for index, out in enumerate(outputs):
             assert out.samples.tobytes() == direct(next_frame(source, index)).samples.tobytes()
+
+
+def test_chain_steps_ping_pong_between_two_slots_and_the_last_is_fresh(monkeypatch):
+    # Wrapped as module attributes, the way perfbench traces them.
+    repeat3 = ChainSpec((ChainPass(Kernel(np.ones((3, 3))), normalize=True, repeat=3),))
+    for chain in (repeat3, MULTI_PASS_CHAIN):
+        steps = sum(p.repeat for p in chain.passes)
+        calls, pads = [], []
+        correlate, pad_samples = shadergen.correlate, kernels.pad_samples
+
+        def traced_correlate(img, *args):
+            out = correlate(img, *args)
+            calls.append((img.samples, out.samples, image._RUN_SCOPE.get()))
+            return out
+
+        def traced_pad(*args):
+            pads.append(args)
+            return pad_samples(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(shadergen, "correlate", traced_correlate)
+            patch.setattr(kernels, "pad_samples", traced_pad)
+            run(SyntheticSource(24, 18), chain, frames=2, warmup=1)
+            assert len(calls) == len(pads) == 3 * steps
+            for index, (before, after, scope) in enumerate(calls):
+                if index % steps == steps - 1:
+                    assert after.flags.owndata
+                    continue
+                slots = scope.pads[20, 26, 3]
+                assert len(slots) == 2
+                assert [np.shares_memory(after, slot) for slot in slots].count(True) == 1
+                assert not np.shares_memory(after, before)
+            # Outside a run every step's output is a fresh array.
+            calls.clear()
+            execute_chain_reference(next_frame(SyntheticSource(24, 18), 0), chain)
+            assert len(calls) == steps and all(after.flags.owndata for _, after, _ in calls)
 
 
 def test_next_frame_outside_a_run_is_a_fresh_contiguous_array(tmp_path):

@@ -112,6 +112,15 @@ def test_chain_pass_validation():
         ChainPass(IDENTITY, repeat=0)
 
 
+def test_bad_chain_types_are_rejected_when_the_chain_is_built():
+    for kernel in (np.ones((3, 3)), None, [[0, 0, 0], [0, 1, 0], [0, 0, 0]]):
+        with pytest.raises(TypeError, match="kernel must be a Kernel"):
+            ChainPass(kernel)
+    for passes in (("x",), (ChainPass(IDENTITY), IDENTITY), (None,)):
+        with pytest.raises(TypeError, match="each pass must be a ChainPass"):
+            ChainSpec(passes)
+
+
 def test_empty_chain_is_rejected():
     with pytest.raises(EmptyChain):
         ChainSpec(())

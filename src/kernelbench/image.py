@@ -8,6 +8,7 @@ magnitudes, unnormalized kernel sums) pass through without saturation.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import stat
 import tempfile
@@ -61,7 +62,49 @@ class _RunScope(NamedTuple):
     pool: ThreadPoolExecutor
     pads: dict
     pads_frame: bool  # frames are acquired into the interior of the radius-1 slot 0
-    chain_step: bool = False  # inside _chain_steps: correlate writes into a slot's interior
+    chain_steps: int = 0  # inside _chain_steps, the chain's step count: correlate writes into a slot
+
+
+# The fewest steps of a chain whose steps split into row ranges. Split, a
+# two-step QVGA chain saved about 0.1 ms a frame on a quiet host; but a split
+# step waits for its slower range, and under a busy neighbour the short
+# chains' frames then took acceptance criterion 6 out of its band (README).
+_SPLIT_CHAIN_STEPS = 3
+
+
+def _current_cpu() -> int | None:
+    """The CPU the calling thread runs on, where Linux reports it; else None."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as f:
+            # Field 39; the name in field 2 may hold spaces, so count from its ")".
+            return int(f.read().rpartition(b")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """A pool of `workers` threads, each bound to its own usable CPU other than the caller's.
+
+    Left to Linux, a worker may share the caller's CPU, and then two ranges
+    take as long as one. The caller's own affinity is never changed, and
+    Linux tends to keep it on the CPU it runs on now, so that CPU goes first
+    in the sorted usable CPUs and worker k is bound to the (k+1)-th. A
+    worker stays unbound on a platform without os.sched_setaffinity, past
+    the last CPU, or where the call raises OSError (a CPU the process may
+    not use).
+    """
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    here = _current_cpu()
+    cpus.sort(key=lambda cpu: cpu != here)
+    index = itertools.count(1)
+
+    def bind():
+        k = next(index)
+        if k < len(cpus):
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, (cpus[k],))
+
+    return ThreadPoolExecutor(workers, initializer=bind)
 
 
 # The scope of the pipeline.run call in progress in this context; None
@@ -73,10 +116,11 @@ _RUN_SCOPE: ContextVar[_RunScope | None] = ContextVar("_RUN_SCOPE", default=None
 def _run_scope(pads_frame: bool = False):
     """Give the frame loop one worker pool and its pad buffers for all its frames.
 
-    The pool has one worker per usable CPU after the first and starts its
-    threads on first use; leaving the block joins them.
+    The pool (_pool) has one worker per usable CPU after the first, each bound
+    to its own CPU other than the caller's, and starts its threads on first
+    use; leaving the block joins them.
     """
-    with ThreadPoolExecutor(max(1, _usable_cpus() - 1)) as pool:
+    with _pool(max(1, _usable_cpus() - 1)) as pool:
         token = _RUN_SCOPE.set(_RunScope(pool, {}, pads_frame))
         try:
             yield
@@ -85,11 +129,12 @@ def _run_scope(pads_frame: bool = False):
 
 
 @contextlib.contextmanager
-def _chain_steps():
+def _chain_steps(count: int):
     """In a run, every correlate call in the block writes its output into the interior of
-    the slot its pad is not in, instead of a fresh array: a chain's steps but the last."""
+    the slot its pad is not in, instead of a fresh array: the steps but the last of a
+    chain of count steps. From _SPLIT_CHAIN_STEPS steps on, they split into row ranges."""
     scope = _RUN_SCOPE.get()
-    token = _RUN_SCOPE.set(scope and scope._replace(chain_step=True))
+    token = _RUN_SCOPE.set(scope and scope._replace(chain_steps=count))
     try:
         yield
     finally:
@@ -111,29 +156,52 @@ def _slot_interior(h: int, w: int, c: int, padded=None) -> np.ndarray:
     pad buffers, which the next pad in that slot overwrites: slot 0 for a frame in a run with
     pads_frame, and the slot padded is not for a step in _chain_steps."""
     scope = _RUN_SCOPE.get()
-    if scope is None or not (scope.pads_frame if padded is None else scope.chain_step):
+    if scope is None or not (scope.pads_frame if padded is None else scope.chain_steps):
         return np.empty((h, w, c))
     slot = int(padded is _pad_buffers((h + 2, w + 2, c))[0])
     return _pad_buffers((h + 2, w + 2, c), slot + 1)[slot][1 : h + 1, 1 : w + 1]
 
 
-def _run_ranges(h: int, strip: int, rows_fn) -> None:
+def _step_output(h: int, w: int, c: int, padded: np.ndarray):
+    """The output of a correlate that reads padded, and its samples on padded's pitch.
+
+    Returns (out, into): out is _slot_interior(h, w, c, padded). into is None,
+    or, for a radius-1 step in _chain_steps, whose slot is shaped like padded,
+    the slot's flat samples from out's first one on: row y of out starts at
+    into[y * pitch], and the last 2 * c samples of each pitch row are the
+    slot's side border cells, which its next pad rewrites.
+    """
+    out = _slot_interior(h, w, c, padded)
+    scope = _RUN_SCOPE.get()
+    if not (scope and scope.chain_steps and padded.shape == (h + 2, w + 2, c)):
+        return out, None
+    return out, out.base.reshape(-1)[(w + 3) * c :]
+
+
+def _run_ranges(h: int, strip: int, rows_fn, chain_only: bool = False) -> None:
     """Call rows_fn(y_start, y_end) once for each of _row_ranges(h, strip).
 
-    The calling thread runs the first range and a pool the others: the run's
-    pool inside pipeline.run, else one built for this call, whose threads end
-    with it. A one-range frame runs directly. Every range has ended before
-    any range's exception is raised. So that ranges may run at once, rows_fn
-    allocates its own strip buffers, writes only its own rows, and carries
-    _ieee_arithmetic itself: a new thread does not inherit numpy's error state.
+    The calling thread runs the first range and a pool (_pool) the others:
+    the run's pool inside pipeline.run, else one built for this call, whose
+    threads end with it. A one-range frame runs directly. Every range has
+    ended before any range's exception is raised. So that ranges may run at
+    once, rows_fn allocates its own strip buffers, writes only its own rows,
+    and carries _ieee_arithmetic itself: a new thread does not inherit
+    numpy's error state.
+
+    correlate passes chain_only=True: its rows split only in the steps but
+    the last of a chain of _SPLIT_CHAIN_STEPS or more steps in a run, and
+    otherwise run as one range on the calling thread. Outside a run a pool
+    of the call's own costs more than its range saves at the CLI's sizes.
     """
-    first, *rest = _row_ranges(h, strip)
+    scope = _RUN_SCOPE.get()
+    split = not chain_only or (scope and scope.chain_steps >= _SPLIT_CHAIN_STEPS)
+    first, *rest = _row_ranges(h, strip) if split else [(0, h)]
     if not rest:
         rows_fn(*first)
         return
-    scope = _RUN_SCOPE.get()
     with contextlib.ExitStack() as stack:
-        pool = scope.pool if scope else stack.enter_context(ThreadPoolExecutor(len(rest)))
+        pool = scope.pool if scope else stack.enter_context(_pool(len(rest)))
         futures = [pool.submit(rows_fn, *r) for r in rest]
         try:
             rows_fn(*first)

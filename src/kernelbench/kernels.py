@@ -10,10 +10,18 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from .image import ImageBuffer, _ieee_arithmetic, _pad_buffers, _slot_interior, _strip_rows
+from .image import (
+    ImageBuffer,
+    _ieee_arithmetic,
+    _pad_buffers,
+    _run_ranges,
+    _step_output,
+    _strip_rows,
+)
 
 
 class BorderPolicy(Enum):
@@ -214,6 +222,47 @@ def pad_samples(arr: np.ndarray, radius: int, border: BorderPolicy) -> np.ndarra
 
 
 @_ieee_arithmetic
+def _correlate_rows(padded, taps, divisor, out, into, strip, y_start, y_end) -> None:
+    """Write output rows [y_start, y_end) of correlate into out, strip by strip.
+
+    taps holds the (offset, weight) pairs of each sign group and divisor the
+    weight to normalize by, or None. Each strip accumulates into a buffer on
+    the padded pitch (_strip_grid), and one pass moves its output pixels into
+    out: the divide when normalizing, a copy otherwise. Where into, out's
+    samples on that pitch (_step_output), is not None, each strip accumulates
+    straight into it, as one contiguous slice, and divides in place. One row
+    range of _run_ranges, with strip buffers of its own.
+    """
+    w, channels = out.shape[1:]
+    pitch = padded.shape[1] * channels
+    flat = padded.reshape(-1)
+    n = min(strip, y_end - y_start) * pitch
+    if into is None:
+        result, scratch, acc = np.empty((3, n))
+    else:
+        scratch, acc = np.empty((2, n))
+    for y0 in range(y_start, y_end, strip):
+        rows = min(strip, y_end - y0)
+        size = (rows - 1) * pitch + w * channels
+        base = y0 * pitch
+        # Tap (dy, dx) of a strip reads the slice of flat that starts dy rows
+        # and dx pixels after the strip's first padded sample.
+        views = ([(flat[base + o : base + o + size], c) for o, c in group] for group in taps)
+        if into is None:
+            _stencil_strip(*views, result[:size], scratch[:size], acc[:size])
+            grid = _strip_grid(result, rows, pitch, w, channels)
+            if divisor is None:
+                np.copyto(out[y0 : y0 + rows], grid)
+            else:
+                np.divide(grid, divisor, out=out[y0 : y0 + rows])
+        else:
+            dest = into[base : base + size]
+            _stencil_strip(*views, dest, scratch[:size], acc[:size])
+            if divisor is not None:
+                dest /= divisor
+
+
+@_ieee_arithmetic
 def correlate(
     image: ImageBuffer,
     kernel: Kernel,
@@ -224,7 +273,13 @@ def correlate(
 
     Every output pixel is the sum of kernel coefficients times the samples
     under them, with the kernel centered on the pixel and laid out as
-    printed (no flip). Output dimensions equal input dimensions.
+    printed (no flip). Output dimensions equal input dimensions. The image
+    is padded once, then its strips run in _correlate_rows: as row ranges on
+    the run's pool in the steps of a long chain inside pipeline.run, else as
+    one range on the calling thread (_run_ranges). Each pixel gets the same
+    operations in the same order in any range, so the split changes no value
+    and no bit outside NaNs; where a NaN and a -NaN meet, the sign of the
+    NaN kept may depend on it.
 
     Args:
         image: input buffer, 1 or 3 channels.
@@ -234,35 +289,19 @@ def correlate(
             substituted by 1 when W <= 0 so zero-sum edge kernels pass
             through the same code path unscaled.
     """
-    arr = image.samples
-    h, w, channels = arr.shape
-    padded = pad_samples(arr, kernel.side // 2, border)
-    flat = padded.reshape(-1)
+    h, w, channels = image.samples.shape
+    padded = pad_samples(image.samples, kernel.side // 2, border)
     pitch = padded.shape[1] * channels
-    # Tap (dy, dx) of a strip reads the slice of flat that starts dy rows and
-    # dx pixels after the strip's first padded sample.
-    taps = _split_taps(kernel.coefficients)
-    pos, neg = ([(dy * pitch + dx * channels, c) for dy, dx, c in group] for group in taps)
+    taps = tuple(
+        [(dy * pitch + dx * channels, c) for dy, dx, c in group]
+        for group in _split_taps(kernel.coefficients)
+    )
     weight = float(kernel.coefficients.sum())
-    if weight <= 0.0:
-        weight = 1.0
-    out = _slot_interior(h, w, channels, padded)
-    # _strip_grid gives the layout of result, scratch and acc. One pass moves
-    # each strip's result into out: the divide by the weight when
-    # normalizing, a copy otherwise.
+    divisor = (weight if weight > 0.0 else 1.0) if normalize else None
+    out, into = _step_output(h, w, channels, padded)
     strip = _strip_rows(padded)
-    result, scratch, acc = np.empty((3, min(strip, h) * pitch))
-    for y0 in range(0, h, strip):
-        rows = min(strip, h - y0)
-        size = (rows - 1) * pitch + w * channels
-        base = y0 * pitch
-        views = ([(flat[base + o : base + o + size], c) for o, c in taps] for taps in (pos, neg))
-        _stencil_strip(*views, result[:size], scratch[:size], acc[:size])
-        grid = _strip_grid(result, rows, pitch, w, channels)
-        if normalize:
-            np.divide(grid, weight, out=out[y0 : y0 + rows])
-        else:
-            np.copyto(out[y0 : y0 + rows], grid)
+    rows = partial(_correlate_rows, padded, taps, divisor, out, into, strip)
+    _run_ranges(h, strip, rows, chain_only=True)
     return ImageBuffer._from_array(out)
 
 

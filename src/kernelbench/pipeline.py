@@ -350,9 +350,10 @@ def run(
     `warmup` frames run at full cost but stay out of the report. If the
     source ends before all requested frames, the report covers the measured
     frames and is flagged partial. All frames share one worker pool for the
-    detectors' row ranges and two pad buffers per shape, which hold Sobel and
-    chain frames and a chain's intermediate steps; no pool thread outlives
-    the call, and every output is a fresh array.
+    row ranges of the detectors and of a long chain's steps, and two pad
+    buffers per shape, which hold Sobel and chain frames and a chain's
+    intermediate steps; no pool thread outlives the call, and every output
+    is fresh.
 
     Args:
         source: frame provider.

@@ -182,11 +182,12 @@ def execute_chain_reference(image: ImageBuffer, chain: ChainSpec) -> ImageBuffer
     repeat r applies the pass r times sequentially, each application reading
     the previous result, unlike the shader (see the module docstring). A
     single non-repeated pass is bit-identical to correlate() by construction.
-    Inside pipeline.run, every step but the last writes into a run buffer.
+    Inside pipeline.run, every step but the last writes into a run buffer,
+    and in a chain of three or more steps runs as row ranges.
     """
     *steps, last = (p for p in chain.passes for _ in range(p.repeat))
     out = image
-    with _chain_steps():
+    with _chain_steps(len(steps) + 1):
         for p in steps:
             out = correlate(out, p.kernel, BorderPolicy.CLAMP_TO_EDGE, p.normalize)
     return correlate(out, last.kernel, BorderPolicy.CLAMP_TO_EDGE, last.normalize)

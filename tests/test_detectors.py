@@ -9,11 +9,13 @@ import threading
 import numpy as np
 import pytest
 
-from kernelbench import detectors, image, kernels
+from kernelbench import detectors, image, kernels, shadergen
 from kernelbench import (
     SOBEL_GX,
     SOBEL_GY,
     BorderPolicy,
+    ChainPass,
+    ChainSpec,
     FormatError,
     FramePattern,
     FreiChenSubset,
@@ -21,6 +23,7 @@ from kernelbench import (
     Kernel,
     RangeError,
     SyntheticSource,
+    execute_chain_reference,
     frei_chen,
     next_frame,
     sobel_magnitude,
@@ -333,16 +336,16 @@ def _use_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-def _record_ranges(monkeypatch, name="_frei_chen_rows"):
-    """Record the (y_start, y_end) and thread of each range detectors.<name> runs."""
+def _record_ranges(monkeypatch, name="_frei_chen_rows", module=detectors):
+    """Record the (y_start, y_end) and thread of each range module.<name> runs."""
     calls = []
-    original = getattr(detectors, name)
+    original = getattr(module, name)
 
     def recording(*args):
         calls.append((args[-2:], threading.current_thread()))
         original(*args)
 
-    monkeypatch.setattr(detectors, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return calls
 
 
@@ -447,6 +450,91 @@ def test_sobel_row_ranges_are_bit_identical_to_one_range(monkeypatch):
         assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
 
 
+def _in_a_run(function, chain_steps=0):
+    """function() inside a run's scope, whose pool threads end with it, and where
+    chain_steps is not 0, as a step but the last of a chain of that many steps."""
+    with image._run_scope(), image._chain_steps(chain_steps):
+        return function()
+
+
+def test_correlate_row_ranges_are_bit_identical_to_one_range(monkeypatch):
+    # Inside a run the steps of a long chain split on the run's pool. Every
+    # other call, in a shorter chain, in a run outside a chain or outside a
+    # run, runs one range on the caller's thread, whatever the CPU count.
+    h, w = 40, 23
+    rng = np.random.default_rng(44)
+    calls = _record_ranges(monkeypatch, "_correlate_rows", kernels)
+    splits = {**_SPLITS, 3: [(0, 13), (13, 26), (26, 40)]}
+    boundaries = (10, 13, 20, 26, 30)
+    for channels, side in itertools.product((1, 3), (1, 3, 5, 7)):
+        # A budget of three padded rows gives 3-row strips.
+        monkeypatch.setattr(image, "_STRIP_BYTES", 3 * (w + side - 1) * channels * 8)
+        arr = rng.standard_normal((h, w, channels))
+        _specials_at_boundaries(arr, boundaries)
+        # A mixed-sign kernel with weight-1.0 taps, and a box: both sign
+        # groups, the multiply-free taps, and a positive and a zero or
+        # negative coefficient sum to normalize by.
+        mixed = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0], (side, side))
+        mixed[side // 2, side // 2] = -np.abs(mixed).sum()
+        for kernel, border, normalize in itertools.product(
+            (Kernel(mixed), Kernel(np.ones((side, side)))), BorderPolicy, (False, True)
+        ):
+            correlate = functools.partial(kernels.correlate, ImageBuffer(arr), kernel, border, normalize)
+            one = correlate().samples
+            assert np.isnan(one).any() and np.isinf(one).any()
+            for cpus, ranges in splits.items():
+                _use_cpus(monkeypatch, cpus)
+                assert image._row_ranges(h, 3) == ranges
+                # A chain of two steps, such as criterion 6's repeat-2 row, runs one range.
+                for steps, want in ((3, ranges), (50, ranges), (2, [(0, h)]), (0, [(0, h)])):
+                    got = _split_calls(lambda: _in_a_run(correlate, steps).samples, calls, want)
+                    assert got.tobytes() == one.tobytes()
+                got = _split_calls(lambda: correlate().samples, calls, [(0, h)])
+                assert got.tobytes() == one.tobytes()
+
+
+def test_chain_steps_in_a_run_are_bit_identical_over_any_range_count(monkeypatch):
+    # Inside a run a chain step's ranges write straight into a pad slot, and
+    # the last step runs one range; every step's output has the bytes of a
+    # one-range call outside a run.
+    h, w = 40, 23
+    rng = np.random.default_rng(45)
+    mixed = Kernel([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0], [-0.25, 1.0, -1.0]])
+    chain = ChainSpec((
+        ChainPass(mixed, repeat=2),
+        ChainPass(Kernel(np.ones((3, 3))), normalize=True, repeat=2),
+        ChainPass(mixed, normalize=True),
+    ))
+    calls = _record_ranges(monkeypatch, "_correlate_rows", kernels)
+    for channels in (1, 3):
+        monkeypatch.setattr(image, "_STRIP_BYTES", 3 * (w + 2) * channels * 8)
+        arr = rng.standard_normal((h, w, channels))
+        _specials_at_boundaries(arr, (10, 13, 20, 26, 30))
+        outputs = {}
+        for cpus, inside in itertools.product((1, 2, 3, 4), (False, True)):
+            _use_cpus(monkeypatch, cpus)
+            steps = []
+            with monkeypatch.context() as patch:
+                patch.setattr(shadergen, "correlate", functools.partial(_copying, kernels.correlate, steps))
+                with image._run_scope(pads_frame=True) if inside else contextlib.nullcontext():
+                    calls.clear()
+                    execute_chain_reference(ImageBuffer(arr), chain)
+            ranges = image._row_ranges(h, 3) if inside else [(0, h)]
+            assert sorted(rows for rows, _ in calls) == sorted(ranges * 4 + [(0, h)])
+            assert all(thread is threading.main_thread() for rows, thread in calls if rows == ranges[0])
+            outputs[cpus, inside] = steps
+        one = outputs[1, False]
+        assert np.isnan(np.frombuffer(one[-1])).any()
+        assert all(steps == one for steps in outputs.values())
+
+
+def _copying(function, sink, *args):
+    """function(*args), appending the bytes of the samples it returns to sink."""
+    out = function(*args)
+    sink.append(out.samples.tobytes())
+    return out
+
+
 def test_row_ranges_keep_values_with_mixed_sign_nans(monkeypatch):
     """Over 1, 2 and 4 row ranges, NaNs of both signs leave the values, the NaN
     positions and every non-NaN bit unchanged. Only the sign of a NaN kept where
@@ -548,9 +636,12 @@ def test_one_range_frames_build_no_executor(monkeypatch):
     rng = np.random.default_rng(43)
     for side in (64, 96):
         gray = ImageBuffer(rng.random((side, side, 1)))
+        rgb = ImageBuffer(rng.random((side, side, 3)))
         frei_chen(gray, FreiChenSubset.EDGE_AND_LINE)
         sobel_magnitude(gray)
-        sobel_magnitude_rgb(ImageBuffer(rng.random((side, side, 3))))
+        sobel_magnitude_rgb(rgb)
+        for img, kernel_side in itertools.product((gray, rgb), (3, 7)):
+            kernels.correlate(img, Kernel(np.ones((kernel_side, kernel_side))), normalize=True)
 
 
 def test_detectors_agree_with_the_independent_references():

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from kernelbench import image, kernels, pipeline, shadergen
+from kernelbench import detectors, image, kernels, pipeline, shadergen
 from kernelbench import (
     ChainPass,
     ChainSpec,
@@ -313,6 +313,124 @@ def test_run_builds_one_pool_and_leaves_no_thread(monkeypatch):
         assert threading.active_count() == before
 
 
+def _worker_affinities(monkeypatch, module, name):
+    """Record the CPU set of each thread but the caller's that runs module.<name>."""
+    seen = {}
+    original = getattr(module, name)
+
+    def recording(*args):
+        if threading.current_thread() is not threading.main_thread():
+            seen[threading.current_thread()] = os.sched_getaffinity(0)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return seen
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(getattr(os, "sched_getaffinity", set)(0)) < 2,
+    reason="needs an affinity call and two usable CPUs",
+)
+def test_each_worker_runs_on_its_own_cpu_and_the_caller_keeps_its_affinity(monkeypatch):
+    cpus = os.sched_getaffinity(0)
+    monkeypatch.setattr(image, "_STRIP_BYTES", 1)
+    frame = next_frame(SyntheticSource(24, 18), 0)
+    cases = (
+        (DetectorKind.SOBEL, detectors, "_sobel_rows", sobel_magnitude_rgb),
+        (DetectorKind.FREI_CHEN, detectors, "_frei_chen_rows",
+         lambda frame: frei_chen(to_luminance(frame), pipeline.PIPELINE_FREI_CHEN_SUBSET)),
+        # A chain of three steps splits its first two; outside a run
+        # correlate runs one range on the caller's thread.
+        (MULTI_PASS_CHAIN, kernels, "_correlate_rows", None),
+    )
+    for (work, module, name, direct), inside in itertools.product(cases, (True, False)):
+        if not (inside or direct):
+            continue
+        with monkeypatch.context() as patch:
+            seen = _worker_affinities(patch, module, name)
+            # The run's pool for all frames, or a pool of one call's own.
+            if inside:
+                run(SyntheticSource(24, 18), work, frames=3)
+            else:
+                direct(frame)
+        assert seen and all(len(cpu) == 1 and cpu <= cpus for cpu in seen.values())
+        assert len(set(map(frozenset, seen.values()))) == len(seen)
+        assert os.sched_getaffinity(0) == cpus
+    processed = []
+    process = pipeline._process_frame
+
+    def failing(frame, work):
+        processed.append(frame)
+        if len(processed) == 3:
+            raise RuntimeError("fault in frame 2")
+        return process(frame, work)
+
+    monkeypatch.setattr(pipeline, "_process_frame", failing)
+    with pytest.raises(RuntimeError, match="fault in frame 2"):
+        run(SyntheticSource(24, 18), BOX_CHAIN, frames=4)
+    assert os.sched_getaffinity(0) == cpus
+
+
+def test_workers_that_cannot_be_bound_run_unbound_with_the_same_bytes(monkeypatch):
+    # Four faked CPUs: on a host with fewer, binding a worker to a missing CPU
+    # raises OSError. Then every worker is refused, and then there is one range.
+    _split_every_frame(monkeypatch)
+    source = SyntheticSource(24, 18, FramePattern.CHECKERBOARD, seed=5)
+    frame = next_frame(source, 1)
+
+    def outputs():
+        before = threading.active_count()
+        got = []
+        for work in (MULTI_PASS_CHAIN, BOX_CHAIN, DetectorKind.SOBEL, DetectorKind.FREI_CHEN):
+            sink = []
+            with monkeypatch.context() as patch:
+                patch.setattr(pipeline, "_process_frame", _keeping(pipeline._process_frame, sink))
+                run(source, work, frames=2)
+            got += [out.samples.tobytes() for out in sink]
+            # Outside a run the detectors split on a pool of the call's own.
+            got.append(pipeline._process_frame(frame, work).samples.tobytes())
+        assert threading.active_count() == before
+        return got
+
+    bound = outputs()
+    refused = []
+
+    def refuse(pid, mask):
+        refused.append(mask)
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    assert outputs() == bound
+    assert refused
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert outputs() == bound
+
+
+@pytest.mark.parametrize("caller", [None, 0, 2, 3])
+def test_workers_are_bound_to_the_cpus_the_caller_is_not_on(monkeypatch, caller):
+    # Worker k asks for the (k+1)-th usable CPU with the caller's first, one CPU
+    # each; where the caller's CPU is unknown, the first is left to it.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 1, 0, 2}, raising=False)
+    monkeypatch.setattr(image, "_current_cpu", lambda: caller)
+    asked = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: asked.append(mask), raising=False)
+    # Each task waits for the others, so three threads start.
+    barrier = threading.Barrier(3, timeout=10)
+    with image._pool(3) as pool:
+        for future in [pool.submit(barrier.wait) for _ in range(3)]:
+            future.result()
+    others = [cpu for cpu in range(4) if cpu != (0 if caller is None else caller)]
+    assert sorted(asked) == [(cpu,) for cpu in others]
+
+
+def test_current_cpu_is_one_the_process_may_use():
+    cpu = image._current_cpu()
+    if hasattr(os, "sched_getaffinity") and os.path.exists("/proc/thread-self/stat"):
+        assert cpu in os.sched_getaffinity(0)
+    else:
+        assert cpu is None
+
+
 def test_run_scope_is_unset_after_run_returns_or_raises(monkeypatch):
     seen = []
     process = pipeline._process_frame
@@ -389,40 +507,88 @@ def test_run_outputs_are_fresh_and_match_direct_calls(monkeypatch, tmp_path):
             assert out.samples.tobytes() == direct(next_frame(source, index)).samples.tobytes()
 
 
+def test_step_output_is_on_the_pads_pitch_only_for_a_radius_1_chain_step():
+    h, w, c = 5, 7, 3
+    rng = np.random.default_rng(46)
+    with image._run_scope(pads_frame=True):
+        slot0 = image._pad_buffers((h + 2, w + 2, c))[0]
+        wide = np.empty((h + 4, w + 4, c))
+        out, into = image._step_output(h, w, c, slot0)
+        assert into is None and out.flags.owndata
+        for steps in (2, 3):
+            with image._chain_steps(steps):
+                out, into = image._step_output(h, w, c, slot0)
+                slot1 = image._pad_buffers((h + 2, w + 2, c))[1]
+                assert out.base is slot1
+                # Row y of out starts at into[y * pitch] on the pad's pitch.
+                out[...] = rng.standard_normal(out.shape)
+                pitch = (w + 2) * c
+                for y in range(h):
+                    assert np.array_equal(into[y * pitch : y * pitch + w * c], out[y].reshape(-1))
+                # A radius-2 pad has another pitch: its step writes slot 0's interior.
+                out, into = image._step_output(h, w, c, wide)
+                assert into is None and out.base is slot0
+    out, into = image._step_output(h, w, c, wide)
+    assert into is None and out.flags.owndata
+
+
+def _changed_pixels(slot, snapshot):
+    """Mask of the (row, column) cells of slot whose bytes differ from snapshot."""
+    return (slot.view(np.uint64) != snapshot.view(np.uint64)).any(axis=2)
+
+
 def test_chain_steps_ping_pong_between_two_slots_and_the_last_is_fresh(monkeypatch):
-    # Wrapped as module attributes, the way perfbench traces them.
+    # Wrapped as module attributes, the way perfbench traces them. Every
+    # step of a three-step chain but the last splits, so its ranges write
+    # into its slot side by side; a two-step chain's first step does not.
+    _split_every_frame(monkeypatch)
     repeat3 = ChainSpec((ChainPass(Kernel(np.ones((3, 3))), normalize=True, repeat=3),))
-    for chain in (repeat3, MULTI_PASS_CHAIN):
+    for chain in (BOX_CHAIN, repeat3, MULTI_PASS_CHAIN):
         steps = sum(p.repeat for p in chain.passes)
-        calls, pads = [], []
+        calls, pads, snapshot = [], [], []
         correlate, pad_samples = shadergen.correlate, kernels.pad_samples
 
         def traced_correlate(img, *args):
             out = correlate(img, *args)
-            calls.append((img.samples, out.samples, image._RUN_SCOPE.get()))
+            scope = image._RUN_SCOPE.get()
+            changed = [_changed_pixels(slot, copy) for slot, copy in snapshot]
+            calls.append((img.samples, out.samples, scope, changed))
             return out
 
         def traced_pad(*args):
             pads.append(args)
-            return pad_samples(*args)
+            padded = pad_samples(*args)
+            scope = image._RUN_SCOPE.get()
+            # The slots as the pad leaves them; the first step makes slot 1 after it.
+            snapshot[:] = [(s, s.copy()) for s in scope.pads[padded.shape]] if scope else []
+            return padded
 
         with monkeypatch.context() as patch:
             patch.setattr(shadergen, "correlate", traced_correlate)
             patch.setattr(kernels, "pad_samples", traced_pad)
             run(SyntheticSource(24, 18), chain, frames=2, warmup=1)
             assert len(calls) == len(pads) == 3 * steps
-            for index, (before, after, scope) in enumerate(calls):
+            for index, (before, after, scope, changed) in enumerate(calls):
                 if index % steps == steps - 1:
+                    # The last step writes no slot.
                     assert after.flags.owndata
+                    assert not any(mask.any() for mask in changed)
                     continue
                 slots = scope.pads[20, 26, 3]
                 assert len(slots) == 2
-                assert [np.shares_memory(after, slot) for slot in slots].count(True) == 1
+                shared = [np.shares_memory(after, slot) for slot in slots]
+                assert shared.count(True) == 1
                 assert not np.shares_memory(after, before)
+                # Outside its interior a step writes only the side border cells
+                # of its own slot: never the top or bottom row, nor the input's slot.
+                dest = shared.index(True)
+                assert not changed[1 - dest].any()
+                if len(changed) == 2:
+                    assert not changed[dest][[0, -1]].any()
             # Outside a run every step's output is a fresh array.
             calls.clear()
             execute_chain_reference(next_frame(SyntheticSource(24, 18), 0), chain)
-            assert len(calls) == steps and all(after.flags.owndata for _, after, _ in calls)
+            assert len(calls) == steps and all(c[1].flags.owndata for c in calls)
 
 
 def test_next_frame_outside_a_run_is_a_fresh_contiguous_array(tmp_path):

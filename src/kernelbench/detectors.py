@@ -12,7 +12,6 @@ from .image import ImageBuffer, _ieee_arithmetic, _run_ranges, _strip_rows
 from .kernels import (
     FREI_CHEN,
     BorderPolicy,
-    _split_taps,
     _stencil_strip,
     _strip_grid,
     pad_samples,
@@ -23,7 +22,7 @@ from .kernels import (
 FREI_CHEN_EPSILON = 1e-12
 
 # The positive and negative taps of each Frei-Chen mask, in basis order.
-_FREI_CHEN_TAPS = tuple(_split_taps(mask.coefficients) for mask in FREI_CHEN)
+_FREI_CHEN_TAPS = tuple(mask._taps for mask in FREI_CHEN)
 
 # The distinct tap magnitudes of the nine masks. Each strip of the padded
 # frame is multiplied once by each of them, into one band per magnitude.

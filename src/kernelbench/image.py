@@ -12,7 +12,7 @@ import itertools
 import os
 import stat
 import tempfile
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
 from enum import Enum
 from typing import NamedTuple
@@ -27,10 +27,13 @@ from .errors import FormatError, RangeError, SizeError, UnsupportedFormat, _is_c
 _ieee_arithmetic = np.errstate(over="ignore", invalid="ignore")
 
 # Every strip loop works in strips of the rows of the array it reads that fit
-# in this many bytes, so each strip buffer stays cache-resident at any
-# resolution; per-pixel cost then scales linearly with pixel count instead of
-# degrading once frames outgrow the cache.
-_STRIP_BYTES = (1 << 20) // 3
+# in this many bytes, so per-pixel cost scales linearly with pixel count
+# instead of degrading once frames outgrow the cache: a Sobel or correlate
+# range's strip buffers and the source rows they read come to about 2 MB,
+# one core's L2 on a 2-core Xeon. Two threads pass the interpreter lock at
+# every numpy call, so longer strips, with fewer calls per row range, also
+# bring a split step closer to 2x (README).
+_STRIP_BYTES = (1 << 20) // 2
 
 
 def _strip_rows(arr: np.ndarray) -> int:
@@ -48,8 +51,8 @@ def _row_ranges(h: int, strip: int) -> list[tuple[int, int]]:
     """Contiguous ranges of h rows, one per usable CPU and at most one per strip of strip rows.
 
     The ranges differ in length by at most one row, so each thread has about
-    the same work: whole strips would leave QVGA RGB Sobel's 6 strips of 45
-    rows as 135 rows against 105. Each range runs its own strips from its first row.
+    the same work: whole strips would leave QVGA RGB Sobel's 4 strips of 67
+    rows as 134 rows against 106. Each range runs its own strips from its first row.
     """
     count = min(_usable_cpus(), -(-h // strip))
     bounds = [h * k // count for k in range(count + 1)]
@@ -206,7 +209,10 @@ def _run_ranges(h: int, strip: int, rows_fn, chain_only: bool = False) -> None:
         try:
             rows_fn(*first)
         finally:
-            wait(futures)
+            # Each future on its own: concurrent.futures.wait builds a waiter
+            # and takes every future's lock twice.
+            for future in futures:
+                future.exception()
     for future in futures:
         future.result()
 

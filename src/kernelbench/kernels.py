@@ -36,10 +36,36 @@ class BorderPolicy(Enum):
         return "edge" if self is BorderPolicy.CLAMP_TO_EDGE else "constant"
 
 
-class Kernel:
-    """Odd-sided square coefficient matrix, row-major."""
+def _split_taps(coefficients: np.ndarray):
+    """Split nonzero taps into positive and negative groups.
 
-    __slots__ = ("_coefficients",)
+    Each group is sorted by descending magnitude (stable, so row-major order
+    breaks ties) and the negative group stores the magnitudes. Accumulating
+    the groups separately and subtracting at the end makes zero-sum kernels
+    cancel exactly on constant input: both groups then sum the same
+    multiset of products in the same order.
+    """
+    side = coefficients.shape[0]
+    taps = [
+        (dy, dx, float(coefficients[dy, dx]))
+        for dy in range(side)
+        for dx in range(side)
+        if coefficients[dy, dx] != 0.0
+    ]
+    taps.sort(key=lambda t: -abs(t[2]))
+    pos = tuple((dy, dx, w) for dy, dx, w in taps if w > 0.0)
+    neg = tuple((dy, dx, -w) for dy, dx, w in taps if w < 0.0)
+    return pos, neg
+
+
+class Kernel:
+    """Odd-sided square coefficient matrix, row-major.
+
+    Its taps split into sign groups (_taps, by _split_taps) and its
+    coefficient sum (_weight) are derived once, here.
+    """
+
+    __slots__ = ("_coefficients", "_taps", "_weight")
 
     def __init__(self, coefficients) -> None:
         arr = np.array(coefficients, dtype=np.float64)
@@ -51,6 +77,8 @@ class Kernel:
             raise ValueError("kernel coefficients must be finite")
         arr.setflags(write=False)
         self._coefficients = arr
+        self._taps = _split_taps(arr)
+        self._weight = float(arr.sum())
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -110,28 +138,6 @@ FREI_CHEN = (
     Kernel(np.array([[-2.0, 1.0, -2.0], [1.0, 4.0, 1.0], [-2.0, 1.0, -2.0]]) / 6.0),
     Kernel(np.ones((3, 3)) / 3.0),
 )
-
-
-def _split_taps(coefficients: np.ndarray):
-    """Split nonzero taps into positive and negative groups.
-
-    Each group is sorted by descending magnitude (stable, so row-major order
-    breaks ties) and the negative group stores the magnitudes. Accumulating
-    the groups separately and subtracting at the end makes zero-sum kernels
-    cancel exactly on constant input: both groups then sum the same
-    multiset of products in the same order.
-    """
-    side = coefficients.shape[0]
-    taps = [
-        (dy, dx, float(coefficients[dy, dx]))
-        for dy in range(side)
-        for dx in range(side)
-        if coefficients[dy, dx] != 0.0
-    ]
-    taps.sort(key=lambda t: -abs(t[2]))
-    pos = [(dy, dx, w) for dy, dx, w in taps if w > 0.0]
-    neg = [(dy, dx, -w) for dy, dx, w in taps if w < 0.0]
-    return pos, neg
 
 
 def _accumulate(views, dest, scratch):
@@ -292,11 +298,8 @@ def correlate(
     h, w, channels = image.samples.shape
     padded = pad_samples(image.samples, kernel.side // 2, border)
     pitch = padded.shape[1] * channels
-    taps = tuple(
-        [(dy * pitch + dx * channels, c) for dy, dx, c in group]
-        for group in _split_taps(kernel.coefficients)
-    )
-    weight = float(kernel.coefficients.sum())
+    taps = tuple([(dy * pitch + dx * channels, c) for dy, dx, c in group] for group in kernel._taps)
+    weight = kernel._weight
     divisor = (weight if weight > 0.0 else 1.0) if normalize else None
     out, into = _step_output(h, w, channels, padded)
     strip = _strip_rows(padded)

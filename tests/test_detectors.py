@@ -107,7 +107,7 @@ def _sobel_tap_loop(arr, border):
 def test_separable_sobel_is_bit_identical_to_the_tap_loop():
     rng = np.random.default_rng(34)
     specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
-    wide = (17, 2048)
+    wide = (33, 2048)
     # The wide image must span several strips of the fused loop.
     assert _sobel_strip_rows(wide[1], 3) < wide[0] // 2
     shapes = [(1, 1), (1, 9), (9, 1), wide]
@@ -642,6 +642,10 @@ def test_one_range_frames_build_no_executor(monkeypatch):
         sobel_magnitude_rgb(rgb)
         for img, kernel_side in itertools.product((gray, rgb), (3, 7)):
             kernels.correlate(img, Kernel(np.ones((kernel_side, kernel_side))), normalize=True)
+    # The batch CLI's 128x128 RGB image is one strip of the strip budget.
+    rgb = ImageBuffer(rng.random((128, 128, 3)))
+    sobel_magnitude_rgb(rgb)
+    kernels.correlate(rgb, Kernel(np.ones((3, 3))), normalize=True)
 
 
 def test_detectors_agree_with_the_independent_references():

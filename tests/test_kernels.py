@@ -239,6 +239,46 @@ def test_pitch_layout_matches_strided_taps():
             assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
+def _derived_taps_kernels():
+    """The presets, the Frei-Chen masks, compose results and seeded random
+    kernels of sides 1-7 over repeated magnitudes of both signs."""
+    rng = np.random.default_rng(47)
+    magnitudes = np.array([0.0, -0.0, 0.5, 1.0, 1.0, 2.0, 2.0, 3.0])
+    found = [SOBEL_GX, SOBEL_GY, *FREI_CHEN, Kernel(np.ones((3, 3)))]
+    found += [compose(SOBEL_GX, SOBEL_GY), compose(FREI_CHEN[0], Kernel(np.ones((3, 3))))]
+    for side in (1, 3, 5, 7):
+        for _ in range(4):
+            signs = rng.choice([-1.0, 1.0], size=(side, side))
+            found.append(Kernel(rng.choice(magnitudes, size=(side, side)) * signs))
+        found.append(Kernel(rng.standard_normal((side, side))))
+    return found
+
+
+def test_kernel_derives_its_taps_and_weight_once():
+    for k in _derived_taps_kernels():
+        assert k._taps == kernels._split_taps(k.coefficients)
+        assert np.float64(k._weight).tobytes() == np.float64(k.coefficients.sum()).tobytes()
+
+
+def test_correlate_with_derived_taps_matches_taps_split_per_call():
+    # _correlate_strided splits the taps and sums the coefficients itself on
+    # every call, so it does not read Kernel's derived _taps and _weight.
+    rng = np.random.default_rng(48)
+    specials = np.array([-0.0, np.inf, -np.inf, np.nan])
+    arr = rng.standard_normal((11, 9, 3))
+    flat = arr.reshape(-1)
+    picks = rng.random(flat.size) < 0.2
+    flat[picks] = rng.choice(specials, size=int(picks.sum()))
+    for k in _derived_taps_kernels():
+        for channels, border, normalize in itertools.product((1, 3), BorderPolicy, (False, True)):
+            img = arr[:, :, :channels]
+            got = correlate(ImageBuffer(img), k, border, normalize).samples
+            want = _correlate_strided(img, k.coefficients, border, normalize)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def test_pad_samples_is_byte_identical_to_np_pad():
     # A quiet NaN with a payload, so a copy that rebuilt NaNs would show.
     payload_nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]

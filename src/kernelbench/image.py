@@ -133,9 +133,9 @@ def _run_scope(pads_frame: bool = False):
 
 @contextlib.contextmanager
 def _chain_steps(count: int):
-    """In a run, every correlate call in the block writes its output into the interior of
-    the slot its pad is not in, instead of a fresh array: the steps but the last of a
-    chain of count steps. From _SPLIT_CHAIN_STEPS steps on, they split into row ranges."""
+    """In a run, the block is the steps but the last of a chain of count steps: each radius-1
+    correlate call in it writes its output into the interior of the slot its pad is not in,
+    and from _SPLIT_CHAIN_STEPS steps on every call splits into row ranges."""
     scope = _RUN_SCOPE.get()
     token = _RUN_SCOPE.set(scope and scope._replace(chain_steps=count))
     try:
@@ -153,32 +153,30 @@ def _pad_buffers(shape: tuple, count: int = 1) -> list:
     return slots
 
 
-def _slot_interior(h: int, w: int, c: int, padded=None) -> np.ndarray:
-    """An (h, w, c) array to write a frame into, or with padded, the output of a correlate
-    that reads padded. It is a fresh array, or the interior of a slot of the run's radius-1
-    pad buffers, which the next pad in that slot overwrites: slot 0 for a frame in a run with
-    pads_frame, and the slot padded is not for a step in _chain_steps."""
+def _slot_interior(h: int, w: int, c: int) -> np.ndarray:
+    """An (h, w, c) array to write a frame into: in a run with pads_frame, the interior of the
+    run's radius-1 slot 0, which the next pad in that slot overwrites; else a fresh array."""
     scope = _RUN_SCOPE.get()
-    if scope is None or not (scope.pads_frame if padded is None else scope.chain_steps):
+    if scope is None or not scope.pads_frame:
         return np.empty((h, w, c))
-    slot = int(padded is _pad_buffers((h + 2, w + 2, c))[0])
-    return _pad_buffers((h + 2, w + 2, c), slot + 1)[slot][1 : h + 1, 1 : w + 1]
+    return _pad_buffers((h + 2, w + 2, c))[0][1 : h + 1, 1 : w + 1]
 
 
 def _step_output(h: int, w: int, c: int, padded: np.ndarray):
-    """The output of a correlate that reads padded, and its samples on padded's pitch.
+    """The output of a correlate that reads padded, and its flat samples on padded's pitch.
 
-    Returns (out, into): out is _slot_interior(h, w, c, padded). into is None,
-    or, for a radius-1 step in _chain_steps, whose slot is shaped like padded,
-    the slot's flat samples from out's first one on: row y of out starts at
-    into[y * pitch], and the last 2 * c samples of each pitch row are the
-    slot's side border cells, which its next pad rewrites.
+    Returns (out, into), where row y of out starts at into[y * pitch]. For a radius-1 step
+    in _chain_steps, out is the interior of the run's radius-1 slot that padded is not; the
+    last 2 * c samples of each pitch row are that slot's side border cells, which its next
+    pad rewrites. Else out is the first w columns of a fresh array of h rows of padded's shape.
     """
-    out = _slot_interior(h, w, c, padded)
     scope = _RUN_SCOPE.get()
-    if not (scope and scope.chain_steps and padded.shape == (h + 2, w + 2, c)):
-        return out, None
-    return out, out.base.reshape(-1)[(w + 3) * c :]
+    if scope and scope.chain_steps and padded.shape == (h + 2, w + 2, c):
+        slots = _pad_buffers(padded.shape, 2)
+        slot = slots[int(padded is slots[0])]
+        return slot[1 : h + 1, 1 : w + 1], slot.reshape(-1)[(w + 3) * c :]
+    fresh = np.empty((h,) + padded.shape[1:])
+    return fresh[:, :w], fresh.reshape(-1)
 
 
 def _run_ranges(h: int, strip: int, rows_fn, chain_only: bool = False) -> None:
@@ -258,7 +256,7 @@ class ImageBuffer:
     @classmethod
     def _from_array(cls, arr: np.ndarray) -> "ImageBuffer":
         # Internal fast path: takes ownership of a float64 array instead of copying
-        # it; in a run it may be a pad buffer's interior (see _slot_interior).
+        # it; it may be a view (see _slot_interior and _step_output).
         buf = object.__new__(cls)
         arr.setflags(write=False)
         buf._samples = arr

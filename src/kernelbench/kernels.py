@@ -202,8 +202,8 @@ def pad_samples(arr: np.ndarray, radius: int, border: BorderPolicy) -> np.ndarra
     pipeline.run it is one of the run's two buffers for its shape: slot 1 if
     arr is a view of it, else slot 0. The next pad in that slot overwrites
     it. Outside a run it is a fresh array. An arr that is already that
-    buffer's interior (image._slot_interior), such as a frame or a chain
-    step's output, stays there, so only the border is written.
+    buffer's interior (image._slot_interior, image._step_output), such as a
+    frame or a chain step's output, stays there, so only the border is written.
     """
     if not isinstance(border, BorderPolicy):
         raise TypeError(f"border must be a BorderPolicy, got {type(border).__name__}")
@@ -228,44 +228,29 @@ def pad_samples(arr: np.ndarray, radius: int, border: BorderPolicy) -> np.ndarra
 
 
 @_ieee_arithmetic
-def _correlate_rows(padded, taps, divisor, out, into, strip, y_start, y_end) -> None:
-    """Write output rows [y_start, y_end) of correlate into out, strip by strip.
+def _correlate_rows(padded, taps, divisor, into, width, strip, y_start, y_end) -> None:
+    """Write output rows [y_start, y_end) of correlate into into, strip by strip.
 
-    taps holds the (offset, weight) pairs of each sign group and divisor the
-    weight to normalize by, or None. Each strip accumulates into a buffer on
-    the padded pitch (_strip_grid), and one pass moves its output pixels into
-    out: the divide when normalizing, a copy otherwise. Where into, out's
-    samples on that pitch (_step_output), is not None, each strip accumulates
-    straight into it, as one contiguous slice, and divides in place. One row
-    range of _run_ranges, with strip buffers of its own.
+    taps holds the (offset, weight) pairs of each sign group, divisor the
+    weight to normalize by, or None, and width an output row's samples. Each
+    strip accumulates into one slice of into, the output's samples on the
+    padded pitch (_step_output), and divides in place. One row range of
+    _run_ranges, with strip buffers of its own.
     """
-    w, channels = out.shape[1:]
-    pitch = padded.shape[1] * channels
+    pitch = padded[0].size
     flat = padded.reshape(-1)
-    n = min(strip, y_end - y_start) * pitch
-    if into is None:
-        result, scratch, acc = np.empty((3, n))
-    else:
-        scratch, acc = np.empty((2, n))
+    scratch, acc = np.empty((2, min(strip, y_end - y_start) * pitch))
     for y0 in range(y_start, y_end, strip):
         rows = min(strip, y_end - y0)
-        size = (rows - 1) * pitch + w * channels
+        size = (rows - 1) * pitch + width
         base = y0 * pitch
         # Tap (dy, dx) of a strip reads the slice of flat that starts dy rows
         # and dx pixels after the strip's first padded sample.
         views = ([(flat[base + o : base + o + size], c) for o, c in group] for group in taps)
-        if into is None:
-            _stencil_strip(*views, result[:size], scratch[:size], acc[:size])
-            grid = _strip_grid(result, rows, pitch, w, channels)
-            if divisor is None:
-                np.copyto(out[y0 : y0 + rows], grid)
-            else:
-                np.divide(grid, divisor, out=out[y0 : y0 + rows])
-        else:
-            dest = into[base : base + size]
-            _stencil_strip(*views, dest, scratch[:size], acc[:size])
-            if divisor is not None:
-                dest /= divisor
+        dest = into[base : base + size]
+        _stencil_strip(*views, dest, scratch[:size], acc[:size])
+        if divisor is not None:
+            dest /= divisor
 
 
 @_ieee_arithmetic
@@ -279,13 +264,16 @@ def correlate(
 
     Every output pixel is the sum of kernel coefficients times the samples
     under them, with the kernel centered on the pixel and laid out as
-    printed (no flip). Output dimensions equal input dimensions. The image
-    is padded once, then its strips run in _correlate_rows: as row ranges on
-    the run's pool in the steps of a long chain inside pipeline.run, else as
-    one range on the calling thread (_run_ranges). Each pixel gets the same
-    operations in the same order in any range, so the split changes no value
-    and no bit outside NaNs; where a NaN and a -NaN meet, the sign of the
-    NaN kept may depend on it.
+    printed (no flip). Output dimensions equal input dimensions. The output's
+    samples are a read-only view on a row pitch of (w + 2r) * c for a kernel
+    of radius r, sharing memory with nothing else; a radius-1 chain step in
+    pipeline.run writes a pad slot's interior instead (image._step_output).
+    The image is padded once, then its strips run in _correlate_rows: as row
+    ranges on the run's pool in the steps of a long chain inside
+    pipeline.run, else as one range on the calling thread (_run_ranges).
+    Each pixel gets the same operations in the same order in any range, so
+    the split changes no value and no bit outside NaNs; where a NaN and a
+    -NaN meet, the sign of the NaN kept may depend on it.
 
     Args:
         image: input buffer, 1 or 3 channels.
@@ -303,7 +291,7 @@ def correlate(
     divisor = (weight if weight > 0.0 else 1.0) if normalize else None
     out, into = _step_output(h, w, channels, padded)
     strip = _strip_rows(padded)
-    rows = partial(_correlate_rows, padded, taps, divisor, out, into, strip)
+    rows = partial(_correlate_rows, padded, taps, divisor, into, w * channels, strip)
     _run_ranges(h, strip, rows, chain_only=True)
     return ImageBuffer._from_array(out)
 

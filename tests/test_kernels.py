@@ -9,6 +9,7 @@ from kernelbench import (
     SOBEL_GX,
     SOBEL_GY,
     BorderPolicy,
+    FreiChenSubset,
     ImageBuffer,
     Kernel,
     PixelFormat,
@@ -16,8 +17,15 @@ from kernelbench import (
     compose,
     correlate,
     decode_bytes,
+    encode_bytes,
+    frei_chen,
     next_frame,
     parse_kernel,
+    sobel_magnitude,
+    sobel_magnitude_rgb,
+    threshold,
+    to_luminance,
+    write_pnm,
 )
 
 MATRIX_5X5 = np.array(
@@ -510,3 +518,41 @@ def test_kernel_validation():
         k[0, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             Kernel(k)
+
+
+def test_strided_correlate_outputs_give_every_consumer_the_bytes_of_a_contiguous_copy(tmp_path):
+    # A correlate output outside a run is a view on the padded pitch, so
+    # every public consumer of an ImageBuffer must read it by its strides.
+    rng = np.random.default_rng(62)
+    again = Kernel([[0.5, -1.0, 0.25], [2.0, 1.0, -0.5], [0.0, 1.0, -0.75]])
+    for channels, side in itertools.product((1, 3), (1, 3, 5, 7)):
+        arr = rng.uniform(-0.5, 1.5, (13, 11, channels))
+        out = correlate(ImageBuffer(arr), Kernel(rng.uniform(-1, 1, (side, side))), normalize=True)
+        strided = out.samples
+        assert strided.flags.c_contiguous == (side == 1)
+        assert strided.strides[0] == (11 + side - 1) * channels * 8
+        copy = ImageBuffer(np.ascontiguousarray(strided))
+        assert copy.samples.flags.c_contiguous
+        fmt = PixelFormat.GRAY8 if channels == 1 else PixelFormat.RGB24
+        consumers = [
+            lambda img: correlate(img, again).samples.tobytes(),
+            lambda img: correlate(img, again, BorderPolicy.ZERO_PAD, True).samples.tobytes(),
+            lambda img: encode_bytes(img, fmt),
+            lambda img: ImageBuffer(img.samples).samples.tobytes(),
+        ]
+        if channels == 1:
+            consumers += [
+                lambda img: sobel_magnitude(img).samples.tobytes(),
+                lambda img: threshold(img, 0.5).samples.tobytes(),
+            ] + [lambda img, s=subset: frei_chen(img, s).samples.tobytes()
+                 for subset in FreiChenSubset]
+        else:
+            consumers += [
+                lambda img: to_luminance(img).samples.tobytes(),
+                lambda img: sobel_magnitude_rgb(img).samples.tobytes(),
+            ]
+        for consume in consumers:
+            assert consume(out) == consume(copy)
+        write_pnm(out, tmp_path / "strided.pnm")
+        write_pnm(copy, tmp_path / "copy.pnm")
+        assert (tmp_path / "strided.pnm").read_bytes() == (tmp_path / "copy.pnm").read_bytes()

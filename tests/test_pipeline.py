@@ -507,29 +507,49 @@ def test_run_outputs_are_fresh_and_match_direct_calls(monkeypatch, tmp_path):
             assert out.samples.tobytes() == direct(next_frame(source, index)).samples.tobytes()
 
 
-def test_step_output_is_on_the_pads_pitch_only_for_a_radius_1_chain_step():
+def _rows_start_on_pitch(out, into, pitch):
+    """Whether row y of out starts at into[y * pitch], with its samples contiguous, for every y."""
+    start = into[: len(out) * pitch].__array_interface__["data"][0]
+    return all(out[y].flags.c_contiguous
+               and out[y].__array_interface__["data"][0] == start + y * pitch * into.itemsize
+               for y in range(len(out)))
+
+
+def test_step_output_is_on_the_pads_pitch_and_in_a_slot_only_for_a_radius_1_chain_step():
     h, w, c = 5, 7, 3
     rng = np.random.default_rng(46)
+    fresh = []
+
+    def on_pitch(out, into, padded):
+        # Row y of out starts at into[y * pitch] on padded's pitch, so a write
+        # through out shows in into there.
+        pitch = padded.shape[1] * c
+        assert _rows_start_on_pitch(out, into, pitch)
+        out[...] = rng.standard_normal(out.shape)
+        for y in range(h):
+            assert np.array_equal(into[y * pitch : y * pitch + w * c], out[y].reshape(-1))
+        return out
+
     with image._run_scope(pads_frame=True):
         slot0 = image._pad_buffers((h + 2, w + 2, c))[0]
         wide = np.empty((h + 4, w + 4, c))
-        out, into = image._step_output(h, w, c, slot0)
-        assert into is None and out.flags.owndata
+        fresh.append((on_pitch(*image._step_output(h, w, c, slot0), slot0), slot0))
         for steps in (2, 3):
             with image._chain_steps(steps):
                 out, into = image._step_output(h, w, c, slot0)
                 slot1 = image._pad_buffers((h + 2, w + 2, c))[1]
                 assert out.base is slot1
-                # Row y of out starts at into[y * pitch] on the pad's pitch.
-                out[...] = rng.standard_normal(out.shape)
-                pitch = (w + 2) * c
-                for y in range(h):
-                    assert np.array_equal(into[y * pitch : y * pitch + w * c], out[y].reshape(-1))
-                # A radius-2 pad has another pitch: its step writes slot 0's interior.
-                out, into = image._step_output(h, w, c, wide)
-                assert into is None and out.base is slot0
-    out, into = image._step_output(h, w, c, wide)
-    assert into is None and out.flags.owndata
+                on_pitch(out, into, slot0)
+                # A radius-2 pad has another pitch: its step writes a fresh array on that pitch.
+                fresh.append((on_pitch(*image._step_output(h, w, c, wide), wide), wide))
+        slots = image._pad_buffers((h + 2, w + 2, c))
+    fresh.append((on_pitch(*image._step_output(h, w, c, wide), wide), wide))
+    # A fresh output shares memory with neither slot, nor its input, nor any other output.
+    assert len(slots) == 2 and len(fresh) == 4
+    for out, padded in fresh:
+        assert not any(np.shares_memory(out, a) for a in (*slots, padded))
+    for (a, _), (b, _) in itertools.combinations(fresh, 2):
+        assert not np.shares_memory(a, b)
 
 
 def _changed_pixels(slot, snapshot):
@@ -569,12 +589,13 @@ def test_chain_steps_ping_pong_between_two_slots_and_the_last_is_fresh(monkeypat
             run(SyntheticSource(24, 18), chain, frames=2, warmup=1)
             assert len(calls) == len(pads) == 3 * steps
             for index, (before, after, scope, changed) in enumerate(calls):
+                slots = scope.pads[20, 26, 3]
                 if index % steps == steps - 1:
-                    # The last step writes no slot.
-                    assert after.flags.owndata
+                    # The last step writes no slot: its output is fresh, on the pad's pitch.
+                    assert not any(np.shares_memory(after, a) for a in (*slots, before))
+                    assert _rows_start_on_pitch(after, after.base.reshape(-1), 26 * 3)
                     assert not any(mask.any() for mask in changed)
                     continue
-                slots = scope.pads[20, 26, 3]
                 assert len(slots) == 2
                 shared = [np.shares_memory(after, slot) for slot in slots]
                 assert shared.count(True) == 1
@@ -585,10 +606,20 @@ def test_chain_steps_ping_pong_between_two_slots_and_the_last_is_fresh(monkeypat
                 assert not changed[1 - dest].any()
                 if len(changed) == 2:
                     assert not changed[dest][[0, -1]].any()
-            # Outside a run every step's output is a fresh array.
+            # The last steps' outputs share memory with no other output.
+            finals = [after for index, (_, after, _, _) in enumerate(calls)
+                      if index % steps == steps - 1]
+            for a, b in itertools.combinations(finals, 2):
+                assert not np.shares_memory(a, b)
+            # Outside a run every step's output is a fresh array on the pad's pitch.
             calls.clear()
             execute_chain_reference(next_frame(SyntheticSource(24, 18), 0), chain)
-            assert len(calls) == steps and all(c[1].flags.owndata for c in calls)
+            assert len(calls) == steps
+            for before, after, _, _ in calls:
+                assert not np.shares_memory(after, before)
+                assert _rows_start_on_pitch(after, after.base.reshape(-1), 26 * 3)
+            for (_, a, _, _), (_, b, _, _) in itertools.combinations(calls, 2):
+                assert not np.shares_memory(a, b)
 
 
 def test_next_frame_outside_a_run_is_a_fresh_contiguous_array(tmp_path):

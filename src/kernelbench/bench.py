@@ -56,8 +56,8 @@ class ScenarioReport:
         if not self.rows:
             raise ValueError("a scenario report needs at least one row")
         labels = [row.label for row in self.rows]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"row labels must be unique, got {labels}")
+        if not all(isinstance(x, str) and x for x in labels) or len(set(labels)) != len(labels):
+            raise ValueError(f"row labels must be unique non-empty strings, got {labels}")
 
     def to_dict(self) -> dict:
         """Plain-data form for JSON serialization; from_dict inverts it."""
@@ -75,9 +75,9 @@ class ScenarioReport:
         """Rebuild a report, checking each row as RunReport.from_dict does.
 
         Raises:
-            ValueError: if a key is missing, schema_version is not the int
-                SCHEMA_VERSION (a bool or float equal to it is rejected too),
-                or a row does not load.
+            ValueError: if data or a row is not an object, a key is missing,
+                schema_version is not the int SCHEMA_VERSION (a bool or float
+                equal to it is rejected too), or a row does not load.
         """
         try:
             version = data["schema_version"]
@@ -92,6 +92,8 @@ class ScenarioReport:
             return cls(Scenario(data["scenario"]), rows, data["host_note"])
         except KeyError as exc:
             raise ValueError(f"scenario report is missing the key {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise ValueError(f"scenario report or a row is not a JSON object: {exc}") from None
 
 
 def _host_note() -> str:

@@ -8,14 +8,8 @@ from functools import partial
 import numpy as np
 
 from .errors import FormatError, RangeError, _is_real
-from .image import ImageBuffer, _ieee_arithmetic, _run_ranges, _strip_rows
-from .kernels import (
-    FREI_CHEN,
-    BorderPolicy,
-    _stencil_strip,
-    _strip_grid,
-    pad_samples,
-)
+from .image import ImageBuffer, _ieee_arithmetic, _run_ranges, _step_output, _strip_rows
+from .kernels import FREI_CHEN, BorderPolicy, _stencil_strip, pad_samples
 
 # Below this squared-response total the Frei-Chen measure is defined as 0
 # instead of dividing by (near) zero.
@@ -48,33 +42,34 @@ class FreiChenSubset(Enum):
         return range(0, 8)
 
 
-def _channel_max(magnitude: np.ndarray, out: np.ndarray) -> None:
-    """out = max over the channels of the (n, w, c) magnitude, the Sobel channel combine.
+def _channel_max(magnitude: np.ndarray, channels: int, out: np.ndarray) -> None:
+    """out[i] = max over k of channel k's flat view magnitude[k::channels]: the Sobel combine.
 
-    The max is one np.maximum per extra channel on the channel views, which
-    numpy runs far faster than np.max over a 3-wide inner axis. Both give the
-    same value; only where several channels are NaN may they keep different NaNs.
+    One np.maximum per extra channel runs far faster than np.max over a 3-wide
+    inner axis. Both give the same value; only where several channels are NaN
+    may they keep different NaNs.
     """
-    if magnitude.shape[2] == 1:
-        np.copyto(out, magnitude[:, :, 0])
+    out = out[: magnitude.size // channels]
+    if channels == 1:
+        np.copyto(out, magnitude)
         return
-    np.maximum(magnitude[:, :, 0], magnitude[:, :, 1], out=out)
-    for channel in range(2, magnitude.shape[2]):
-        np.maximum(out, magnitude[:, :, channel], out=out)
+    np.maximum(magnitude[0::channels], magnitude[1::channels], out=out)
+    for channel in range(2, channels):
+        np.maximum(out, magnitude[channel::channels], out=out)
 
 
 @_ieee_arithmetic
-def _sobel_rows(padded: np.ndarray, out: np.ndarray, strip: int, y_start: int, y_end: int) -> None:
-    """Write output rows [y_start, y_end) of the Sobel magnitude into out, strip by strip.
+def _sobel_rows(padded: np.ndarray, into: np.ndarray, strip: int, y_start: int, y_end: int) -> None:
+    """Write output rows [y_start, y_end) of the Sobel magnitude into into, strip by strip.
 
     Sobel is separable: with s the [1 2 1] sum across each padded row and t
     the same sum down each padded column, gx = s[y+1] - s[y-1] and
     gy = t[:, x+1] - t[:, x-1]. Each sum is formed as (2 * centre + left or
     top) + right or bottom, the order in which the tap loop accumulates each
     sign group of SOBEL_GX and SOBEL_GY, so the result is bit-identical to
-    correlating with the two masks. The sums and gradients are laid out on
-    the padded row pitch (_strip_grid), so each pass reads contiguous slices
-    of the padded frame; t reuses the buffer of s once gx has read it. Each
+    correlating with the two masks. The sums, the gradients and into are on
+    the padded pitch (image._step_output), so each pass reads and writes
+    contiguous slices; t reuses the buffer of s once gx has read it. Each
     call is one row range of _run_ranges.
     """
     channels = padded.shape[2]
@@ -95,21 +90,22 @@ def _sobel_rows(padded: np.ndarray, out: np.ndarray, strip: int, y_start: int, y
             s += source[2 * across :][: s.size]
             np.subtract(s[2 * down :], s[:size], out=gradient[:size])
         np.hypot(gx[:size], gy[:size], out=gx[:size])
-        _channel_max(_strip_grid(gx, rows, pitch, w, channels), out[y0 : y0 + rows, :, 0])
+        _channel_max(gx[:size], channels, into[y0 * pitch // channels :])
 
 
 def _sobel(image: ImageBuffer, border: BorderPolicy) -> ImageBuffer:
     """Per-channel Sobel magnitude reduced with max over channels.
 
     The frame is padded once, then its strips run as row ranges (_run_ranges)
-    of _sobel_rows. Each pixel gets the same operations in the same order in
-    any range, so the split changes no value and no bit outside NaNs; where a
-    NaN and a -NaN meet, the sign of the NaN kept may depend on the split.
+    of _sobel_rows into one channel on the pad's pitch (image._step_output).
+    Each pixel gets the same operations in the same order in any range, so
+    the split changes no value and no bit outside NaNs; where a NaN and a
+    -NaN meet, the sign of the NaN kept may depend on the split.
     """
     padded = pad_samples(image.samples, 1, border)
-    out = np.empty((image.height, image.width, 1))
+    out, into = _step_output(image.height, image.width, 1, padded)
     strip = _strip_rows(padded)
-    _run_ranges(image.height, strip, partial(_sobel_rows, padded, out, strip))
+    _run_ranges(image.height, strip, partial(_sobel_rows, padded, into, strip))
     return ImageBuffer._from_array(out)
 
 
@@ -143,22 +139,22 @@ def sobel_magnitude_rgb(
     return _sobel(image, border)
 
 
-def _flat_windows(band: np.ndarray) -> np.ndarray:
-    """Mask of the pixels whose 3x3 window in band is finite and constant.
+def _flat_windows(source: np.ndarray, pitch: int, size: int) -> np.ndarray:
+    """Mask of the size pixels, on the padded pitch, whose 3x3 window is finite and constant.
 
-    band holds the padded rows of one output strip plus one row above and
-    below it. A row of a window is constant when its left and right samples
-    equal its middle one; the window is constant when its three rows are and
-    the middle column is. NaN equals nothing, so a window holding one is
-    never flat, and a constant window of infinities is not finite.
+    source holds the flat padded rows of one output strip and a row above and
+    below, so the window of pixel i starts at source[i]. A window row is
+    constant when its left and right samples equal its middle one; the window
+    is when its three rows and its middle column are. NaN equals nothing, so
+    a window holding one is never flat; a window of infinities is not finite.
     """
-    n, w = band.shape[0] - 2, band.shape[1] - 2
-    middle = band[:, 1 : w + 1]
-    across = (middle == band[:, :w]) & (middle == band[:, 2:])
-    centre = middle[1 : n + 1]
-    flat = across[:n] & across[1 : n + 1] & across[2:]
-    flat &= centre == middle[:n]
-    flat &= centre == middle[2:]
+    n = size + 2 * pitch
+    middle = source[1:][:n]
+    across = (middle == source[:n]) & (middle == source[2:][:n])
+    centre = middle[pitch:][:size]
+    flat = across[:size] & across[pitch:][:size] & across[2 * pitch :]
+    flat &= centre == middle[:size]
+    flat &= centre == middle[2 * pitch :]
     flat &= np.isfinite(centre)
     return flat
 
@@ -183,17 +179,19 @@ def _frei_chen_plan(bands: np.ndarray, pitch: int, size: int):
 
 @_ieee_arithmetic
 def _frei_chen_rows(
-    padded: np.ndarray, out: np.ndarray, subset: FreiChenSubset, strip: int, y_start: int, y_end: int
+    padded: np.ndarray, into: np.ndarray, subset: FreiChenSubset, strip: int, y_start: int, y_end: int
 ) -> None:
-    """Write output rows [y_start, y_end) of frei_chen into out, strip by strip.
+    """Write output rows [y_start, y_end) of frei_chen into into, strip by strip.
 
-    One row range of _run_ranges, with strip buffers, bands and tap plans of its own.
+    M accumulates in a strip's slice of into, on the padded pitch, and becomes
+    sqrt(M / S) in place. One row range of _run_ranges, with strip buffers,
+    bands and tap plans of its own.
     """
     pitch = padded.shape[1]
     w = pitch - 2
     flat = padded.reshape(-1)
     n0 = min(strip, y_end - y_start)
-    buffers = np.empty((4, n0 * pitch))
+    buffers = np.empty((3, n0 * pitch))
     bands = np.empty((len(_FREI_CHEN_MAGNITUDES), (n0 + 2) * pitch))
     first, last = subset.mask_indices[0], subset.mask_indices[-1]
     # The tap views are the same for every strip of one size: one plan for
@@ -209,7 +207,8 @@ def _frei_chen_rows(
             np.multiply(source, magnitude, out=band[: source.size])
         if rows not in plans:
             plans[rows] = _frei_chen_plan(bands, pitch, size)
-        response, acc, numerator, total = buffers[:, :size]
+        response, acc, total = buffers[:, :size]
+        numerator = into[y0 * pitch :][:size]
         for index, (pos, neg) in enumerate(plans[rows]):
             _stencil_strip(pos, neg, response, None, acc)
             # Each sum starts at its first square: 0.0 + x is x for every x
@@ -226,14 +225,13 @@ def _frei_chen_rows(
                     numerator += response
             if index == last and first == 0:
                 np.copyto(numerator, total)
-        numerator, total = (_strip_grid(b, rows, pitch, w, 1) for b in buffers[2:])
         # Where S is 0, M is too, so the divide can give only 0 / 0 = NaN
         # there, which the guard replaces.
         np.divide(numerator, total, out=numerator)
         zero = total < FREI_CHEN_EPSILON
-        zero |= _flat_windows(padded[y0 : y0 + rows + 2])
+        zero |= _flat_windows(source, pitch, size)
         numerator[zero] = 0.0
-        np.sqrt(numerator, out=out[y0 : y0 + rows])
+        np.sqrt(numerator, out=numerator)
 
 
 def frei_chen(
@@ -259,9 +257,10 @@ def frei_chen(
     about 1e-16 there.
 
     The strips run as contiguous row ranges, one per CPU the process may use
-    (_run_ranges). Each pixel gets the same operations in the same order in
-    any range, so the split changes no value and no bit outside NaNs; where a
-    NaN and a -NaN meet, the sign of the NaN kept may depend on the split.
+    (_run_ranges), into the pad's pitch (image._step_output). Each pixel gets
+    the same operations in the same order in any range, so the split changes
+    no value and no bit outside NaNs; where a NaN and a -NaN meet, the sign
+    of the NaN kept may depend on the split.
 
     Raises:
         FormatError: if the image is not single-channel.
@@ -273,9 +272,9 @@ def frei_chen(
         raise TypeError(f"subset must be a FreiChenSubset, got {type(subset).__name__}")
     arr = image.samples
     padded = pad_samples(arr, 1, border)
-    out = np.empty_like(arr)
+    out, into = _step_output(*arr.shape, padded)
     strip = _strip_rows(padded)
-    _run_ranges(arr.shape[0], strip, partial(_frei_chen_rows, padded, out, subset, strip))
+    _run_ranges(arr.shape[0], strip, partial(_frei_chen_rows, padded, into, subset, strip))
     return ImageBuffer._from_array(out)
 
 

@@ -163,19 +163,21 @@ def _slot_interior(h: int, w: int, c: int) -> np.ndarray:
 
 
 def _step_output(h: int, w: int, c: int, padded: np.ndarray):
-    """The output of a correlate that reads padded, and its flat samples on padded's pitch.
+    """The (h, w, c) output of a stencil (correlate, Sobel, Frei-Chen) that reads padded.
 
-    Returns (out, into), where row y of out starts at into[y * pitch]. For a radius-1 step
-    in _chain_steps, out is the interior of the run's radius-1 slot that padded is not; the
-    last 2 * c samples of each pitch row are that slot's side border cells, which its next
-    pad rewrites. Else out is the first w columns of a fresh array of h rows of padded's shape.
+    Returns (out, into), where row y of out starts at into[y * padded.shape[1] * c]: on the
+    pad's pitch, c being the output's channels. The last 2r * c samples of each pitch row
+    are computed, may hold inf or NaN, and belong to no pixel. out is the first w columns
+    of a fresh array, returned as a read-only view that shares memory with nothing else;
+    but a radius-1 correlate step in _chain_steps writes the interior of the run's radius-1
+    slot that padded is not, whose side border cells, written too, its next pad rewrites.
     """
     scope = _RUN_SCOPE.get()
     if scope and scope.chain_steps and padded.shape == (h + 2, w + 2, c):
         slots = _pad_buffers(padded.shape, 2)
         slot = slots[int(padded is slots[0])]
         return slot[1 : h + 1, 1 : w + 1], slot.reshape(-1)[(w + 3) * c :]
-    fresh = np.empty((h,) + padded.shape[1:])
+    fresh = np.empty((h, padded.shape[1], c))
     return fresh[:, :w], fresh.reshape(-1)
 
 

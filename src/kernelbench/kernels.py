@@ -144,7 +144,7 @@ def _accumulate(views, dest, scratch):
     """dest = sum of weight * view over the (view, weight) pairs, in order.
 
     Each view is a contiguous 1-D slice the size of dest, laid out on the
-    padded row pitch (see _strip_grid). A tap whose weight is exactly 1.0 is
+    padded row pitch (image._step_output). A tap whose weight is exactly 1.0 is
     added straight from its slice instead of going through a multiply and the
     scratch array, which may be None when every weight is 1.0. This is
     bit-identical to multiplying: x * 1.0 == x for every double, including
@@ -180,19 +180,6 @@ def _stencil_strip(pos, neg, out, scratch, acc):
         np.negative(out, out=out)
     else:
         out[:] = 0.0
-
-
-def _strip_grid(buf: np.ndarray, rows: int, pitch: int, w: int, channels: int) -> np.ndarray:
-    """The (rows, w, channels) output pixels of a strip buffer.
-
-    A strip buffer is laid out on the padded row pitch, (w + 2r) * channels:
-    output pixel (y, x, k) of the strip is element y * pitch + x * channels + k.
-    So each stencil tap reads one contiguous slice of the padded array. The
-    last 2r * channels elements of each buffer row match no output pixel; they
-    are computed, may hold inf or NaN, and are never read.
-    """
-    valid = buf[: rows * pitch].reshape(rows, pitch)[:, : w * channels]
-    return valid.reshape(rows, w, channels)
 
 
 def pad_samples(arr: np.ndarray, radius: int, border: BorderPolicy) -> np.ndarray:
@@ -233,9 +220,9 @@ def _correlate_rows(padded, taps, divisor, into, width, strip, y_start, y_end) -
 
     taps holds the (offset, weight) pairs of each sign group, divisor the
     weight to normalize by, or None, and width an output row's samples. Each
-    strip accumulates into one slice of into, the output's samples on the
-    padded pitch (_step_output), and divides in place. One row range of
-    _run_ranges, with strip buffers of its own.
+    strip accumulates straight into its slice of into, the output's samples
+    on the padded pitch (image._step_output), and divides in place. One row
+    range of _run_ranges, with strip buffers of its own.
     """
     pitch = padded[0].size
     flat = padded.reshape(-1)
@@ -264,13 +251,12 @@ def correlate(
 
     Every output pixel is the sum of kernel coefficients times the samples
     under them, with the kernel centered on the pixel and laid out as
-    printed (no flip). Output dimensions equal input dimensions. The output's
-    samples are a read-only view on a row pitch of (w + 2r) * c for a kernel
-    of radius r, sharing memory with nothing else; a radius-1 chain step in
-    pipeline.run writes a pad slot's interior instead (image._step_output).
-    The image is padded once, then its strips run in _correlate_rows: as row
-    ranges on the run's pool in the steps of a long chain inside
-    pipeline.run, else as one range on the calling thread (_run_ranges).
+    printed (no flip). Output dimensions equal input dimensions. The output
+    is on the pad's pitch of (w + 2r) * c samples for a kernel of radius r,
+    like every stencil output (image._step_output). The image is padded
+    once, then its strips run in _correlate_rows: as row ranges on the run's
+    pool in the steps of a long chain inside pipeline.run, else as one range
+    on the calling thread (_run_ranges).
     Each pixel gets the same operations in the same order in any range, so
     the split changes no value and no bit outside NaNs; where a NaN and a
     -NaN meet, the sign of the NaN kept may depend on it.

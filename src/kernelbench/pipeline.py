@@ -307,17 +307,19 @@ class RunReport:
         """Rebuild a report from per_frame, checking the stored aggregates.
 
         Raises:
-            ValueError: if a key is missing, partial is not a bool, vsync_hz
-                or a frame timing is out of range, frame_count is not the
-                integer number of frames, or a stored aggregate is not a
-                number (a bool is rejected) or differs from its value derived
-                from per_frame by more than 1e-9 relative (1e-12 absolute).
+            ValueError: if data or a frame is not an object, a key is missing,
+                partial is not a bool, vsync_hz or a timing is out of range,
+                frame_count is not the integer number of frames, or a stored
+                aggregate is not a number (a bool is rejected) or differs from
+                its value derived from per_frame by more than 1e-9 relative (1e-12 absolute).
         """
         try:
             timings = [(f["acquisition_ms"], f["processing_ms"]) for f in data["per_frame"]]
             stored = {name: data[name] for name in ("vsync_hz", "partial") + _DERIVED}
         except KeyError as exc:
             raise ValueError(f"report is missing the key {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise ValueError(f"report or a frame is not a JSON object: {exc}") from None
         partial, count = stored.pop("partial"), stored.pop("frame_count")
         if type(partial) is not bool:
             raise ValueError(f"partial must be true or false, got {partial!r}")

@@ -106,6 +106,13 @@ def _bool_acquisition():
     return data
 
 
+def _scenario_dict(**row):
+    """A one-row scenario report dict whose row takes the given label or report."""
+    report = RunReport((FrameStats(1.0, 2.0),), 60.0).to_dict()
+    return {"schema_version": 1, "scenario": "operators", "host_note": "",
+            "rows": [{"label": "2", "report": report, **row}]}
+
+
 def _without(key):
     data = _report_dict()
     del data[key]
@@ -153,6 +160,33 @@ BAD_INPUTS = [
     ("frame-stats-string", lambda tmp: FrameStats("1.0", 0.0), ValueError),
     ("scenario-from-dict-missing-key",
      lambda tmp: ScenarioReport.from_dict({"schema_version": 1, "rows": []}), ValueError),
+    # JSON of the wrong shape: a ValueError, not the TypeError of indexing it.
+    ("from-dict-frame-number", lambda tmp: RunReport.from_dict(_one_ms_frame(per_frame=[1])),
+     ValueError),
+    ("from-dict-per-frame-null",
+     lambda tmp: RunReport.from_dict(_one_ms_frame(per_frame=None)), ValueError),
+    ("from-dict-frame-list",
+     lambda tmp: RunReport.from_dict(_one_ms_frame(per_frame=[[1.0, 2.0]])), ValueError),
+    ("from-dict-report-list", lambda tmp: RunReport.from_dict([_one_ms_frame()]), ValueError),
+    ("from-dict-report-null", lambda tmp: RunReport.from_dict(None), ValueError),
+    ("scenario-from-dict-null", lambda tmp: ScenarioReport.from_dict(None), ValueError),
+    ("scenario-from-dict-list", lambda tmp: ScenarioReport.from_dict([_scenario_dict()]),
+     ValueError),
+    ("scenario-from-dict-row-string",
+     lambda tmp: ScenarioReport.from_dict({**_scenario_dict(), "rows": ["x"]}), ValueError),
+    ("scenario-from-dict-rows-number",
+     lambda tmp: ScenarioReport.from_dict({**_scenario_dict(), "rows": 5}), ValueError),
+    ("scenario-from-dict-report-number",
+     lambda tmp: ScenarioReport.from_dict(_scenario_dict(report=3)), ValueError),
+    ("scenario-from-dict-report-list",
+     lambda tmp: ScenarioReport.from_dict(_scenario_dict(report=[])), ValueError),
+    ("scenario-from-dict-report-null",
+     lambda tmp: ScenarioReport.from_dict(_scenario_dict(report=None)), ValueError),
+    # The schema's labels are strings of length 1 or more.
+    ("scenario-from-dict-label-number",
+     lambda tmp: ScenarioReport.from_dict(_scenario_dict(label=5)), ValueError),
+    ("scenario-from-dict-label-empty",
+     lambda tmp: ScenarioReport.from_dict(_scenario_dict(label="")), ValueError),
     ("run-vsync-bool", lambda tmp: run(SOURCE, SOBEL, frames=1, vsync_hz=True), ValueError),
     ("report-vsync-bool", lambda tmp: RunReport((), True), ValueError),
     # PNM headers, checked before the pixel data is read.
@@ -225,6 +259,8 @@ ACCEPTED = [
      lambda tmp: _frame_of_reduced_seed(2**64 + 7, FramePattern.CHECKERBOARD)),
     ("chainpass-numpy-repeat", lambda tmp: ChainPass(SOBEL_GX, repeat=np.int64(2))),
     ("run-numpy-frames", lambda tmp: run(SOURCE, SOBEL, frames=np.int64(1), warmup=np.int64(0))),
+    ("scenario-from-dict-round-trip",
+     lambda tmp: ScenarioReport.from_dict(ScenarioReport.from_dict(_scenario_dict()).to_dict())),
 ]
 
 

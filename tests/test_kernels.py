@@ -520,15 +520,25 @@ def test_kernel_validation():
             Kernel(k)
 
 
-def test_strided_correlate_outputs_give_every_consumer_the_bytes_of_a_contiguous_copy(tmp_path):
-    # A correlate output outside a run is a view on the padded pitch, so
+def test_strided_stencil_outputs_give_every_consumer_the_bytes_of_a_contiguous_copy(tmp_path):
+    # Every stencil output outside a run is a view on its pad's pitch, so
     # every public consumer of an ImageBuffer must read it by its strides.
     rng = np.random.default_rng(62)
     again = Kernel([[0.5, -1.0, 0.25], [2.0, 1.0, -0.5], [0.0, 1.0, -0.75]])
-    for channels, side in itertools.product((1, 3), (1, 3, 5, 7)):
-        arr = rng.uniform(-0.5, 1.5, (13, 11, channels))
-        out = correlate(ImageBuffer(arr), Kernel(rng.uniform(-1, 1, (side, side))), normalize=True)
+    # (input channels, kernel side, producer); the detectors' side is their pad's.
+    producers = [
+        (channels, side,
+         lambda img, side=side: correlate(img, Kernel(rng.uniform(-1, 1, (side, side))),
+                                          normalize=True))
+        for channels, side in itertools.product((1, 3), (1, 3, 5, 7))
+    ] + [(1, 3, sobel_magnitude), (3, 3, sobel_magnitude_rgb)] + [
+        (1, 3, lambda img, s=subset: frei_chen(img, s)) for subset in FreiChenSubset
+    ]
+    for depth, side, produce in producers:
+        arr = rng.uniform(-0.5, 1.5, (13, 11, depth))
+        out = produce(ImageBuffer(arr))
         strided = out.samples
+        channels = out.channels
         assert strided.flags.c_contiguous == (side == 1)
         assert strided.strides[0] == (11 + side - 1) * channels * 8
         copy = ImageBuffer(np.ascontiguousarray(strided))

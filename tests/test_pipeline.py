@@ -491,10 +491,16 @@ def test_run_outputs_are_fresh_and_match_direct_calls(monkeypatch, tmp_path):
          lambda frame: execute_chain_reference(frame, MULTI_PASS_CHAIN)),
     )
     for source, (attr, work, direct) in itertools.product(sources, cases):
-        frames, outputs = [], []
+        frames, outputs, scopes = [], [], []
         with monkeypatch.context() as patch:
             for name, sink in (("next_frame", frames), (attr, outputs)):
                 patch.setattr(pipeline, name, _keeping(getattr(pipeline, name), sink))
+
+            def process(*args, original=pipeline._process_frame):
+                scopes.append(image._RUN_SCOPE.get())
+                return original(*args)
+
+            patch.setattr(pipeline, "_process_frame", process)
             run(source, work, frames=3)
         assert len(outputs) == 3
         # Sobel and chain frames live in a pad buffer; only Frei-Chen frames own their memory.
@@ -503,6 +509,12 @@ def test_run_outputs_are_fresh_and_match_direct_calls(monkeypatch, tmp_path):
             assert not np.shares_memory(a.samples, b.samples)
         for out, frame in itertools.product(outputs, frames):
             assert not np.shares_memory(out.samples, frame.samples)
+        # Every output is on its radius-1 pad's pitch, and in none of the run's pad slots.
+        slots = [slot for shape in scopes[-1].pads.values() for slot in shape]
+        assert slots
+        for out, slot in itertools.product(outputs, slots):
+            assert out.samples.strides[0] == (24 + 2) * out.channels * 8
+            assert not np.shares_memory(out.samples, slot)
         for index, out in enumerate(outputs):
             assert out.samples.tobytes() == direct(next_frame(source, index)).samples.tobytes()
 
